@@ -266,9 +266,9 @@ class PackedPbnList {
   void AppendPrefix(const PackedPbnRef& ref, size_t n);
 
   /// Append rows [first, last) of \p other in one arena memcpy plus three
-  /// column copies — the bulk path behind partition-restricted list
-  /// construction and segment stitching, where per-element Append would
-  /// re-touch every byte. \p other must not alias this list.
+  /// column copies — the bulk path behind Build's segment stitching, where
+  /// per-element Append would re-touch every byte. \p other must not alias
+  /// this list.
   void AppendSlice(const PackedPbnList& other, size_t first, size_t last);
 
   /// Materialize element \p i as a heap Pbn.

@@ -50,8 +50,6 @@ std::string ExecStats::ToString() const {
                     " value_index_postings=" + std::to_string(value_index_postings) +
                     " value_scan_fallbacks=" + std::to_string(value_scan_fallbacks) +
                     " zone_map_skips=" + std::to_string(zone_map_skips) +
-                    " partition_skips=" + std::to_string(partition_skips) +
-                    " partitions_used=" + std::to_string(partitions_used) +
                     " est_rows=" + std::to_string(est_rows) +
                     (chosen_plan.empty() ? std::string()
                                          : " chosen_plan=" + chosen_plan) +
@@ -96,8 +94,6 @@ std::string ExecStats::ToJson() const {
   add_u64("value_index_postings", value_index_postings);
   add_u64("value_scan_fallbacks", value_scan_fallbacks);
   add_u64("zone_map_skips", zone_map_skips);
-  add_u64("partition_skips", partition_skips);
-  add_u64("partitions_used", partitions_used);
   add_u64("est_rows", est_rows);
   out += "\"chosen_plan\":\"" + JsonEscape(chosen_plan) + "\",";
   add_u64("plan_cache_hits", plan_cache_hits);
@@ -116,40 +112,6 @@ std::string ExecStats::ToJson() const {
   }
   out += "]}";
   return out;
-}
-
-void ExecStats::Accumulate(const ExecStats& other) {
-  nodes_scanned += other.nodes_scanned;
-  join_pairs += other.join_pairs;
-  pbn_comparisons += other.pbn_comparisons;
-  bytes_compared += other.bytes_compared;
-  vjoin_pairs += other.vjoin_pairs;
-  decoded_batches += other.decoded_batches;
-  block_skips += other.block_skips;
-  value_index_lookups += other.value_index_lookups;
-  value_index_postings += other.value_index_postings;
-  value_scan_fallbacks += other.value_scan_fallbacks;
-  zone_map_skips += other.zone_map_skips;
-  partition_skips += other.partition_skips;
-  partitions_used += other.partitions_used;
-  // Per-query planner detail: keep the latest observation.
-  est_rows = other.est_rows;
-  if (!other.chosen_plan.empty()) chosen_plan = other.chosen_plan;
-  // Engine-lifetime counters: keep the latest observation, not a sum of
-  // snapshots.
-  plan_cache_hits = other.plan_cache_hits;
-  plan_cache_misses = other.plan_cache_misses;
-  result_cache_hits += other.result_cache_hits;
-  result_cache_misses += other.result_cache_misses;
-  result_nodes += other.result_nodes;
-  wall_ms += other.wall_ms;
-  ingest_ms = other.ingest_ms;
-  snapshot_load = other.snapshot_load;
-  snapshot_bytes = other.snapshot_bytes;
-  mapped_bytes = other.mapped_bytes;
-  threads = other.threads;
-  if (!other.plan.empty()) plan = other.plan;
-  // Per-step records are per-query detail; a cumulative object drops them.
 }
 
 size_t QueryResult::size() const {
@@ -189,7 +151,6 @@ ExecOptions QueryEngine::EffectiveOptions(
   if (overrides.use_cost_model) {
     effective.use_cost_model = *overrides.use_cost_model;
   }
-  if (overrides.partitions) effective.partitions = *overrides.partitions;
   return effective;
 }
 
@@ -334,16 +295,8 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
       break;
     }
     case PlanKind::kBulk: {
-      // Partition-wise execution when asked for and the document actually
-      // has multiple partitions; byte-identical either way.
-      const bool partition_wise =
-          options.partitions > 1 && stored_->partitions().count() > 1;
-      VPBN_ASSIGN_OR_RETURN(
-          std::vector<num::Pbn> nodes,
-          partition_wise
-              ? EvalBulkPartitioned(*stored_, query.path(),
-                                    options.partitions, &ctx)
-              : EvalBulk(*stored_, query.path(), &ctx));
+      VPBN_ASSIGN_OR_RETURN(std::vector<num::Pbn> nodes,
+                            EvalBulk(*stored_, query.path(), &ctx));
       result.nodes_ = std::move(nodes);
       break;
     }
@@ -394,8 +347,6 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
     stats.value_index_postings = ctx.value_index_postings();
     stats.value_scan_fallbacks = ctx.value_scan_fallbacks();
     stats.zone_map_skips = ctx.zone_map_skips();
-    stats.partition_skips = ctx.partition_skips();
-    stats.partitions_used = ctx.partitions_used();
     stats.steps = ctx.TakeSteps();
   }
   return result;

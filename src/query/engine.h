@@ -143,13 +143,6 @@ struct ExecOptions {
   /// heuristics. Results are identical either way; off is the E16
   /// fixed-strategy baseline.
   bool use_cost_model = true;
-  /// Stored bulk plans only: evaluate partition-wise over the document's
-  /// subtree partitions, grouped into this many concurrent tasks with
-  /// metadata-pruned groups skipped (ExecStats::partition_skips). 0 (the
-  /// default) keeps the single-task path. Results are byte-identical for
-  /// every value — like `threads`, this shapes the execution, never the
-  /// answer.
-  int partitions = 0;
 
   bool operator==(const ExecOptions&) const = default;
 };
@@ -166,7 +159,6 @@ struct ExecOverrides {
   std::optional<bool> virtual_join;
   std::optional<bool> use_value_index;
   std::optional<bool> use_cost_model;
-  std::optional<int> partitions;
 };
 
 /// \brief Result nodes in the substrate's native handle type, plus stats.
@@ -226,24 +218,6 @@ class QueryEngine {
       : stored_(std::move(stored)) {}
   explicit QueryEngine(std::shared_ptr<const virt::VirtualDocument> vdoc)
       : vdoc_(std::move(vdoc)) {}
-  /// @}
-
-  /// \name Deprecated non-owning shims (one release)
-  /// Pre-PR-6 constructors over caller-owned substrates. They wrap the
-  /// reference in a shared_ptr with a no-op deleter, so the caller keeps
-  /// the outlive-the-engine burden the shared_ptr constructors remove.
-  /// @{
-  [[deprecated("construct QueryEngine over std::shared_ptr<const Document>")]]
-  explicit QueryEngine(const xml::Document& doc)
-      : doc_(&doc, [](const xml::Document*) {}) {}
-  [[deprecated(
-      "construct QueryEngine over std::shared_ptr<const StoredDocument>")]]
-  explicit QueryEngine(const storage::StoredDocument& stored)
-      : stored_(&stored, [](const storage::StoredDocument*) {}) {}
-  [[deprecated(
-      "construct QueryEngine over std::shared_ptr<const VirtualDocument>")]]
-  explicit QueryEngine(const virt::VirtualDocument& vdoc)
-      : vdoc_(&vdoc, [](const virt::VirtualDocument*) {}) {}
   /// @}
 
   ~QueryEngine();

@@ -9,7 +9,6 @@
 #include "pbn/structural_join.h"
 #include "query/cost_model.h"
 #include "query/eval_indexed.h"
-#include "query/partition_pruner.h"
 #include "query/value_pushdown.h"
 
 namespace vpbn::query {
@@ -29,51 +28,6 @@ using State = std::map<dg::TypeId, PackedPbnList>;
 /// surviving type count reaches this (each task runs a whole relative-chain
 /// evaluation, so even small counts amortize).
 constexpr size_t kParallelPredicateCutoff = 2;
-
-/// One partition-wise evaluation task's view of the type index: main-chain
-/// candidate pulls see only the group's contiguous row range of each type
-/// plus the spine rows (storage/partitions.h) — the ancestors every group
-/// needs to route chunk-local results through. Owned by a single task, so
-/// the restricted-list cache needs no locking. Restricting candidates can
-/// only *remove* instances, and a result row's whole ancestor chain is
-/// either in-range or on the spine (the spine is ancestor-closed), so the
-/// task finds exactly the results whose rows land in its range.
-struct PartitionScope {
-  const storage::DocumentPartitions* parts;
-  size_t chunk_lo;
-  size_t chunk_hi;
-  std::map<dg::TypeId, PackedPbnList> cache;
-
-  const PackedPbnList& Restricted(const storage::StoredDocument& stored,
-                                  dg::TypeId t) {
-    auto it = cache.find(t);
-    if (it != cache.end()) return it->second;
-    const PackedPbnList& full = stored.PackedNodesOfType(t);
-    auto [lo, hi] = parts->TypeRange(t, chunk_lo, chunk_hi);
-    const std::vector<uint32_t>& spine = parts->spine_rows[t];
-    PackedPbnList out;
-    // Spine rows below the range, the contiguous range (spine rows inside
-    // it included), spine rows above — ascending rows, so the list keeps
-    // the PBN order every join relies on.
-    size_t i = 0;
-    for (; i < spine.size() && spine[i] < lo; ++i) out.Append(full[spine[i]]);
-    out.AppendSlice(full, lo, hi);
-    for (; i < spine.size(); ++i) {
-      if (spine[i] >= hi) out.Append(full[spine[i]]);
-    }
-    return cache.emplace(t, std::move(out)).first->second;
-  }
-};
-
-/// Main-chain candidate instances of type \p t: the whole type list, or the
-/// scope's restricted view under partition-wise evaluation. Predicate
-/// chains always pass a null scope — a predicate witnesses a context from
-/// anywhere in the document, restricted or not.
-const PackedPbnList& Candidates(const storage::StoredDocument& stored,
-                                dg::TypeId t, PartitionScope* scope) {
-  return scope == nullptr ? stored.PackedNodesOfType(t)
-                          : scope->Restricted(stored, t);
-}
 
 common::ThreadPool* PoolOf(ExecContext* ctx) {
   return ctx != nullptr ? ctx->pool() : nullptr;
@@ -154,11 +108,9 @@ PackedPbnList SemiJoinAncestors(const PackedPbnList& context,
 
 /// Evaluates `path` starting from `state` (document node when
 /// `from_document` is set), returning the surviving per-type lists.
-/// \p scope restricts main-chain candidate pulls to one partition group
-/// (null = whole document); predicate sub-chains always run unscoped.
 State EvalChain(const storage::StoredDocument& stored, const Path& path,
                 size_t first_step, State state, bool from_document,
-                ExecContext* ctx, PartitionScope* scope = nullptr);
+                ExecContext* ctx);
 
 bool UseValueIndex(ExecContext* ctx) {
   return ctx == nullptr || ctx->use_value_index();
@@ -567,7 +519,7 @@ State ApplyPredicates(const storage::StoredDocument& stored, const Step& step,
 
 State EvalChain(const storage::StoredDocument& stored, const Path& path,
                 size_t first_step, State state, bool from_document,
-                ExecContext* ctx, PartitionScope* scope) {
+                ExecContext* ctx) {
   const dg::DataGuide& g = stored.dataguide();
   bool doc_node = from_document;
   for (size_t s = first_step; s < path.steps.size(); ++s) {
@@ -582,7 +534,7 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
       for (auto& [t, list] : state) {
         for (dg::TypeId dt : g.DescendantTypes(t)) {
           // Descendant instances within any context instance: join.
-          const PackedPbnList& all = Candidates(stored, dt, scope);
+          const PackedPbnList& all = stored.PackedNodesOfType(dt);
           auto pairs = Join(num::Axis::kDescendant, list, all, ctx);
           std::vector<bool> mark(all.size(), false);
           for (const num::JoinPair& p : pairs) mark[p.descendant_index] = true;
@@ -603,7 +555,7 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
         // From the document node '//' reaches every type in full.
         next.clear();
         for (dg::TypeId t = 0; t < g.num_types(); ++t) {
-          next.emplace(t, Candidates(stored, t, scope));
+          next.emplace(t, stored.PackedNodesOfType(t));
         }
         doc_node = false;
       }
@@ -628,13 +580,13 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
       if (step.axis == num::Axis::kChild) {
         for (dg::TypeId rt : g.roots()) {
           if (TypeMatches(g, rt, step.test)) {
-            add(rt, Candidates(stored, rt, scope));
+            add(rt, stored.PackedNodesOfType(rt));
           }
         }
       } else {  // descendant
         for (dg::TypeId t = 0; t < g.num_types(); ++t) {
           if (TypeMatches(g, t, step.test)) {
-            add(t, Candidates(stored, t, scope));
+            add(t, stored.PackedNodesOfType(t));
           }
         }
       }
@@ -649,7 +601,7 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
         }
         for (dg::TypeId nt : candidates) {
           if (!TypeMatches(g, nt, step.test)) continue;
-          const PackedPbnList& all = Candidates(stored, nt, scope);
+          const PackedPbnList& all = stored.PackedNodesOfType(nt);
           std::vector<num::JoinPair> pairs = Join(step.axis, list, all, ctx);
           std::vector<bool> mark(all.size(), false);
           for (const num::JoinPair& p : pairs) mark[p.descendant_index] = true;
@@ -695,82 +647,6 @@ Result<std::vector<Pbn>> EvalBulk(const storage::StoredDocument& stored,
                                   std::string_view path_text) {
   VPBN_ASSIGN_OR_RETURN(Path path, ParsePath(path_text));
   return EvalBulk(stored, path);
-}
-
-Result<std::vector<Pbn>> EvalBulkPartitioned(
-    const storage::StoredDocument& stored, const Path& path, int partitions,
-    ExecContext* ctx) {
-  if (!InFragment(path)) {
-    return Status::NotImplemented(
-        "bulk evaluation supports child/descendant chains with existence "
-        "and value (comparison / contains / starts-with) predicates only");
-  }
-  const storage::DocumentPartitions& parts = stored.partitions();
-  const size_t chunks = parts.count();
-  const size_t want = partitions > 0 ? static_cast<size_t>(partitions) : 0;
-  if (chunks <= 1 || want <= 1) return EvalBulk(stored, path, ctx);
-
-  // Group the build-time chunks into K balanced contiguous tasks, prune
-  // groups the partition metadata proves empty, and evaluate the rest on
-  // the pool. Each task reports only rows inside its own range; ranges
-  // partition every type's rows, so the concatenation is duplicate-free and
-  // — after the same sort EvalBulk runs — byte-identical to unpartitioned.
-  const size_t k = std::min(want, chunks);
-  struct Group {
-    size_t chunk_lo;
-    size_t chunk_hi;
-  };
-  std::vector<Group> groups;
-  groups.reserve(k);
-  uint64_t skips = 0;
-  for (size_t i = 0; i < k; ++i) {
-    Group grp{chunks * i / k, chunks * (i + 1) / k};
-    if (PartitionGroupCanMatch(stored, path, grp.chunk_lo, grp.chunk_hi,
-                               ctx)) {
-      groups.push_back(grp);
-    } else {
-      ++skips;
-    }
-  }
-  if (ctx != nullptr) {
-    ctx->CountPartitionSkips(skips);
-    ctx->CountPartitionsUsed(groups.size());
-  }
-
-  std::vector<std::vector<Pbn>> per_group(groups.size());
-  common::ParallelFor(PoolOf(ctx), groups.size(), /*grain=*/1,
-                      [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      PartitionScope scope{&parts, groups[i].chunk_lo, groups[i].chunk_hi,
-                           {}};
-      State st =
-          EvalChain(stored, path, 0, State(), /*from_document=*/true, ctx,
-                    &scope);
-      std::vector<Pbn>& out = per_group[i];
-      for (auto& [t, list] : st) {
-        auto [lo, hi] =
-            parts.TypeRange(t, groups[i].chunk_lo, groups[i].chunk_hi);
-        if (lo >= hi) continue;
-        // Keep survivors whose global row lands in this group's range —
-        // spine survivors outside it belong to (and are found by) the
-        // group that owns their row.
-        const PackedPbnList& full = stored.PackedNodesOfType(t);
-        for (size_t j = 0; j < list.size(); ++j) {
-          const size_t row = full.LowerBound(list[j]);
-          if (row >= lo && row < hi) out.push_back(list[j].Materialize());
-        }
-      }
-    }
-  });
-
-  std::vector<Pbn> out;
-  for (std::vector<Pbn>& g : per_group) {
-    out.insert(out.end(), std::make_move_iterator(g.begin()),
-               std::make_move_iterator(g.end()));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 Result<std::vector<Pbn>> EvalBulkOrIndexed(

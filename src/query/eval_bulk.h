@@ -50,18 +50,6 @@ Result<std::vector<num::Pbn>> EvalBulk(const storage::StoredDocument& stored,
 Result<std::vector<num::Pbn>> EvalBulk(const storage::StoredDocument& stored,
                                        std::string_view path_text);
 
-/// \brief Partition-wise EvalBulk: groups the stored document's subtree
-/// partitions (storage/partitions.h) into \p partitions balanced tasks,
-/// prunes groups the partition metadata proves empty
-/// (query/partition_pruner.h, counted as ExecStats::partition_skips), and
-/// evaluates the rest concurrently on \p ctx's pool. Results are
-/// byte-identical to EvalBulk for every K and thread count. Falls back to
-/// EvalBulk when \p partitions <= 1 or the document has at most one
-/// partition chunk. Same fragment, same NotImplemented contract.
-Result<std::vector<num::Pbn>> EvalBulkPartitioned(
-    const storage::StoredDocument& stored, const Path& path, int partitions,
-    ExecContext* ctx = nullptr);
-
 /// \brief EvalBulk when the fragment allows, else EvalIndexed.
 Result<std::vector<num::Pbn>> EvalBulkOrIndexed(
     const storage::StoredDocument& stored, const Path& path,

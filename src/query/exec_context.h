@@ -42,8 +42,6 @@ struct ExecStats {
   uint64_t value_index_postings = 0;  ///< postings rows consumed by pushdown
   uint64_t value_scan_fallbacks = 0;  ///< value predicates scanned per node
   uint64_t zone_map_skips = 0;     ///< value/postings blocks skipped on bounds
-  uint64_t partition_skips = 0;    ///< partition groups pruned before eval
-  uint64_t partitions_used = 0;    ///< partition groups actually evaluated
   uint64_t est_rows = 0;           ///< planner's estimated result cardinality
   uint64_t plan_cache_hits = 0;    ///< engine-lifetime prepared-plan hits
   uint64_t plan_cache_misses = 0;  ///< engine-lifetime prepared-plan misses
@@ -69,10 +67,6 @@ struct ExecStats {
   /// line (the vpbnd protocol is newline-delimited), every field above plus
   /// the steps array.
   std::string ToJson() const;
-
-  /// Field-wise sum (wall/ingest add, plan/threads/snapshot keep the last
-  /// non-default value) — the server's cumulative-counters accumulator.
-  void Accumulate(const ExecStats& other);
 };
 
 /// \brief Mutable execution state. Pointer-identity shared, never copied.
@@ -183,12 +177,6 @@ class ExecContext {
   void CountZoneMapSkips(uint64_t n) {
     zone_map_skips_.fetch_add(n, std::memory_order_relaxed);
   }
-  void CountPartitionSkips(uint64_t n) {
-    partition_skips_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountPartitionsUsed(uint64_t n) {
-    partitions_used_.fetch_add(n, std::memory_order_relaxed);
-  }
   void RecordStep(StepStats step) {
     std::lock_guard<std::mutex> lock(steps_mu_);
     steps_.push_back(std::move(step));
@@ -227,12 +215,6 @@ class ExecContext {
   uint64_t zone_map_skips() const {
     return zone_map_skips_.load(std::memory_order_relaxed);
   }
-  uint64_t partition_skips() const {
-    return partition_skips_.load(std::memory_order_relaxed);
-  }
-  uint64_t partitions_used() const {
-    return partitions_used_.load(std::memory_order_relaxed);
-  }
   std::vector<StepStats> TakeSteps() {
     std::lock_guard<std::mutex> lock(steps_mu_);
     return std::move(steps_);
@@ -256,8 +238,6 @@ class ExecContext {
   std::atomic<uint64_t> value_index_postings_{0};
   std::atomic<uint64_t> value_scan_fallbacks_{0};
   std::atomic<uint64_t> zone_map_skips_{0};
-  std::atomic<uint64_t> partition_skips_{0};
-  std::atomic<uint64_t> partitions_used_{0};
   std::mutex steps_mu_;
   std::vector<StepStats> steps_;
   std::mutex vtypes_mu_;

@@ -59,17 +59,6 @@ Status ParseQueryOption(std::string_view token, query::ExecOverrides* out) {
     out->threads = static_cast<int>(n);
     return Status::OK();
   }
-  constexpr std::string_view kPartitions = "--partitions=";
-  if (StartsWith(token, kPartitions)) {
-    std::string arg(token.substr(kPartitions.size()));
-    char* end = nullptr;
-    long n = std::strtol(arg.c_str(), &end, 10);
-    if (arg.empty() || *end != '\0' || n < 0 || n > 4096) {
-      return Status::ParseError("bad --partitions value '" + arg + "'");
-    }
-    out->partitions = static_cast<int>(n);
-    return Status::OK();
-  }
   return Status::ParseError("unknown QUERY option '" + std::string(token) +
                             "'");
 }

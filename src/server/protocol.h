@@ -15,8 +15,6 @@
 /// defaults — query/engine.h ExecOverrides):
 ///
 ///   --threads=N          thread budget (0 = hardware concurrency)
-///   --partitions=N       partition-wise bulk tasks (0 = off); results are
-///                        byte-identical to unpartitioned execution
 ///   --stats              attach the full ExecStats object to the response
 ///   --virtual-join / --no-virtual-join
 ///   --value-index / --no-value-index

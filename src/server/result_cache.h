@@ -42,8 +42,8 @@ class ResultCache {
   explicit ResultCache(size_t capacity) : capacity_(capacity) {}
 
   /// The canonical cache key. Only result-shaping inputs participate:
-  /// threads, partitions, and collect_stats change how a query runs, not
-  /// what it returns, so requests differing only in those share an entry.
+  /// threads and collect_stats change how a query runs, not what it
+  /// returns, so requests differing only in those share an entry.
   static std::string Key(const std::string& doc, const std::string& view,
                          const std::string& path,
                          const query::ExecOptions& effective, uint64_t epoch);

@@ -33,8 +33,10 @@ constexpr uint8_t kSectionDoc = 1;
 constexpr uint8_t kSectionArenas = 2;
 constexpr uint8_t kSectionValues = 3;
 constexpr uint8_t kSectionStats = 4;  // optional; absent in older snapshots
-constexpr uint8_t kSectionParts = 5;  // optional; partition metadata
-constexpr uint8_t kMaxSectionKind = kSectionParts;
+// Partition metadata written by older versions. Still a legal kind so
+// their files load; the loader ignores its payload.
+constexpr uint8_t kSectionLegacyParts = 5;
+constexpr uint8_t kMaxSectionKind = kSectionLegacyParts;
 // zlib's worst-case expansion bound, used to cap attacker-chosen raw sizes
 // before allocating.
 constexpr uint64_t kMaxInflateRatio = 1032;
@@ -446,18 +448,6 @@ std::string Snapshot::WriteV2(const StoredDocument& sd, bool stats_section) {
     PutBlob(&stats_sec, stats_raw);
   }
 
-  // Optional PARTS section: the subtree-partition metadata (cuts, per-type
-  // row offsets, spine rows). The loader recomputes the same metadata from
-  // the tree anyway — the section exists so the load can cross-check its
-  // derivation against what the writer saw, pinning the partition layout
-  // (and thus partition-wise execution) across writer/loader versions.
-  std::string parts_sec;
-  if (sd.partitions_.count() > 0) {
-    std::string parts_raw;
-    sd.partitions_.Encode(&parts_raw);
-    PutBlob(&parts_sec, parts_raw);
-  }
-
   std::string out;
   out.append(kMagic);
   PutVarint32(&out, 2);
@@ -473,10 +463,6 @@ std::string Snapshot::WriteV2(const StoredDocument& sd, bool stats_section) {
   if (stats_section) {
     payloads.push_back(&stats_sec);
     kinds.push_back(kSectionStats);
-  }
-  if (!parts_sec.empty()) {
-    payloads.push_back(&parts_sec);
-    kinds.push_back(kSectionParts);
   }
   const size_t n_sections = payloads.size();
   out.push_back(static_cast<char>(n_sections));
@@ -667,13 +653,6 @@ Result<StoredDocument> Snapshot::LoadV1(std::string_view data,
                                               out.node_types_, out.node_rows_,
                                               out.packed_type_index_, pool));
   out.numbering_ready_.store(false, std::memory_order_relaxed);
-
-  // Partition metadata for partition-wise execution. v1 never stored it;
-  // re-derive it with the same pass Build uses. Validation above pinned the
-  // loaded lists to canonical document order, so the recomputed rows and
-  // lists are identical to the loaded ones (the pass just re-fills them).
-  out.partitions_ = BuildTypeRows(doc, out.node_types_, num_types, pool,
-                                  &out.node_rows_, &out.type_node_index_);
 
   // Value index: dictionary replayed in term-id order, then the covered
   // columns' postings and numeric rows rebuilt per type on the pool.
@@ -884,31 +863,9 @@ Result<StoredDocument> Snapshot::LoadV2(
   }
   const size_t num_types = out.guide_.num_types();
 
-  // Phase 2 of Build: rows within each type's instance list, chunk-parallel
-  // (storage/partitions.h) — the same deterministic pass Build runs, which
-  // also yields the partition metadata partition-wise execution needs.
-  out.partitions_ = BuildTypeRows(doc, out.node_types_, num_types, pool,
-                                  &out.node_rows_, &out.type_node_index_);
-
-  // Optional PARTS section: the metadata is a pure function of the tree, so
-  // a well-formed snapshot's copy must equal the recomputation verbatim; a
-  // mismatch means writer/loader partitioning drifted (or the bytes lie).
-  if (seen[kSectionParts]) {
-    std::string_view parts_view = sections[kSectionParts];
-    std::string parts_scratch;
-    VPBN_ASSIGN_OR_RETURN(std::string_view parts_raw,
-                          ReadBlob(&parts_view, &parts_scratch));
-    if (!parts_view.empty()) {
-      return Status::InvalidArgument("snapshot: trailing partition bytes");
-    }
-    VPBN_ASSIGN_OR_RETURN(
-        DocumentPartitions stored_parts,
-        DocumentPartitions::Decode(parts_raw, num_types, n));
-    if (stored_parts != out.partitions_) {
-      return Status::InvalidArgument(
-          "snapshot: partition metadata does not match the document");
-    }
-  }
+  // Phase 2 of Build: rows within each type's instance list, in document
+  // order.
+  out.AssignTypeRows();
 
   // Arena directory: per-type instance counts are validated against the
   // derived lists now; the blob bytes stay in the backing store and decode

@@ -25,7 +25,6 @@ StoredDocument::StoredDocument(StoredDocument&& other) noexcept
       node_types_(std::move(other.node_types_)),
       node_rows_(std::move(other.node_rows_)),
       value_index_(std::move(other.value_index_)),
-      partitions_(std::move(other.partitions_)),
       ranges_(std::move(other.ranges_)),
       packed_type_index_(std::move(other.packed_type_index_)),
       type_node_index_(std::move(other.type_node_index_)),
@@ -50,7 +49,6 @@ StoredDocument& StoredDocument::operator=(StoredDocument&& other) noexcept {
     node_types_ = std::move(other.node_types_);
     node_rows_ = std::move(other.node_rows_);
     value_index_ = std::move(other.value_index_);
-    partitions_ = std::move(other.partitions_);
     ranges_ = std::move(other.ranges_);
     packed_type_index_ = std::move(other.packed_type_index_);
     type_node_index_ = std::move(other.type_node_index_);
@@ -118,17 +116,11 @@ StoredDocument StoredDocument::Build(const xml::Document& doc,
     xml::SerializeForestWithRanges(doc, nullptr, &out.text_, &out.ranges_);
   }
 
-  // Phase 2 — row assignment, chunk-parallel (storage/partitions.h): the
-  // document splits into contiguous document-order chunks, per-chunk type
-  // counts prefix-sum into the rows the sequential pass would assign, and
-  // the fill writes disjoint slices. The prefix sums *are* the partition
-  // row-offset matrix, so the subtree-partition metadata the partition-wise
-  // evaluator needs comes out of this phase for free.
+  // Phase 2 — each node's row within its type's instance list
+  // (AssignTypeRows, shared with the v2 snapshot loader).
   out.packed_type_index_.assign(out.guide_.num_types(), {});
   out.type_cache_.resize(out.guide_.num_types());
-  out.partitions_ =
-      BuildTypeRows(doc, out.node_types_, out.guide_.num_types(), pool,
-                    &out.node_rows_, &out.type_node_index_);
+  out.AssignTypeRows();
 
   // Phase 3 — pack the per-type PBN arenas. The instance lists are already
   // document-ordered, so each arena comes out sorted — what the memcmp
@@ -203,6 +195,24 @@ StoredDocument StoredDocument::Build(xml::Document&& doc,
   out.owned_doc_ = std::move(owned);
   out.doc_ = out.owned_doc_.get();
   return out;
+}
+
+void StoredDocument::AssignTypeRows() {
+  // Cheap (two pushes per node) and inherently ordered, so not worth
+  // fanning out. Counting first sizes every list exactly: no growth
+  // copies, and no slack for MemoryUsage to count.
+  std::vector<uint32_t> counts(guide_.num_types(), 0);
+  for (dg::TypeId t : node_types_) ++counts[t];
+  type_node_index_.assign(guide_.num_types(), {});
+  for (size_t t = 0; t < counts.size(); ++t) {
+    type_node_index_[t].reserve(counts[t]);
+  }
+  node_rows_.assign(doc_->num_nodes(), 0);
+  for (xml::NodeId id : doc_->DocumentOrder()) {
+    std::vector<xml::NodeId>& ids = type_node_index_[node_types_[id]];
+    node_rows_[id] = static_cast<uint32_t>(ids.size());
+    ids.push_back(id);
+  }
 }
 
 void StoredDocument::HydrateNumbering() const {

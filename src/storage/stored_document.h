@@ -32,7 +32,6 @@
 #include "pbn/numbering.h"
 #include "pbn/packed.h"
 #include "pbn/pbn.h"
-#include "storage/partitions.h"
 #include "xml/document.h"
 
 namespace vpbn::storage {
@@ -173,14 +172,6 @@ class StoredDocument {
                                           const num::Pbn& scope) const;
   /// @}
 
-  /// \brief Subtree partition metadata (storage/partitions.h): contiguous
-  /// document-order chunks with per-type row offsets and spine rows. Built
-  /// as a byproduct of the row-assignment phase — a pure function of the
-  /// tree, identical for any thread count. `count() <= 1` (tiny documents)
-  /// means partition-wise execution has nothing to split and falls back to
-  /// the single-arena path.
-  const DocumentPartitions& partitions() const { return partitions_; }
-
   /// Resident bytes of the snapshot mapping actually faulted in (mincore
   /// walk; 0 for built or buffer-backed documents). With lazy arena decode,
   /// queries that touch few types leave most of the mapping cold — the E17
@@ -201,6 +192,12 @@ class StoredDocument {
   /// Materializes numbering_ from the packed arenas (snapshot restore
   /// path); no-op when already hydrated.
   void HydrateNumbering() const;
+
+  /// Build phase 2, shared with Snapshot::LoadV2: one sequential
+  /// document-order pass that gives every node its row within its type's
+  /// instance list, filling node_rows_ and type_node_index_ from doc_ and
+  /// node_types_.
+  void AssignTypeRows();
 
   /// \name Snapshot v2 lazy arenas
   ///
@@ -242,7 +239,6 @@ class StoredDocument {
   std::vector<dg::TypeId> node_types_;
   std::vector<uint32_t> node_rows_;  // by NodeId: row within its type list
   idx::ValueIndex value_index_;
-  DocumentPartitions partitions_;
   std::vector<std::pair<uint64_t, uint64_t>> ranges_;  // by NodeId
   // Mutable for the lazy v2 decode path; immutable once decoded.
   mutable std::vector<num::PackedPbnList> packed_type_index_;  // by TypeId

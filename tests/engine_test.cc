@@ -338,22 +338,6 @@ TEST(EngineTest, SetStatsEpochInvalidatesPlansAndCache) {
   EXPECT_EQ(engine.plan_cache_size(), size_before);
 }
 
-TEST(EngineTest, DeprecatedRawConstructorsStillWork) {
-  // The one-release compatibility shims: engines over caller-owned
-  // substrates answer identically to shared-ownership engines.
-  Fixture f;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  QueryEngine raw(*f.stored);
-#pragma GCC diagnostic pop
-  QueryEngine shared(f.stored);
-  auto a = raw.Execute("//book/title", {});
-  auto b = shared.Execute("//book/title", {});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->pbn_nodes(), b->pbn_nodes());
-}
-
 TEST(EngineTest, ExecStatsJsonIsSingleLineAndComplete) {
   Fixture f;
   QueryEngine engine(f.stored);
@@ -365,27 +349,9 @@ TEST(EngineTest, ExecStatsJsonIsSingleLineAndComplete) {
   EXPECT_EQ(json.back(), '}');
   for (const char* key :
        {"\"plan\":", "\"threads\":", "\"wall_ms\":", "\"result_nodes\":",
-        "\"nodes_scanned\":", "\"plan_cache_hits\":", "\"steps\":",
-        "\"partition_skips\":", "\"partitions_used\":"}) {
+        "\"nodes_scanned\":", "\"plan_cache_hits\":", "\"steps\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
   }
-}
-
-TEST(EngineTest, PartitionsOptionMergesAndSurfacesInStats) {
-  Fixture f;
-  QueryEngine engine(f.stored);
-  engine.SetDefaultOptions({.partitions = 4});
-  EXPECT_EQ(engine.EffectiveOptions({}).partitions, 4);
-  EXPECT_EQ(engine.EffectiveOptions({.partitions = 16}).partitions, 16);
-  EXPECT_EQ(engine.EffectiveOptions({.partitions = 0}).partitions, 0);
-
-  // The counters appear in both renderings.
-  auto r = engine.Execute("//book/title", {.collect_stats = true});
-  ASSERT_TRUE(r.ok());
-  EXPECT_NE(r->stats().ToString().find("partition_skips="),
-            std::string::npos);
-  EXPECT_NE(r->stats().ToJson().find("\"partitions_used\":"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -40,13 +40,11 @@ TEST(ProtocolTest, PathKeepsInternalSpaces) {
 
 TEST(ProtocolTest, ParsesQueryOptions) {
   auto r = ParseRequest(
-      "QUERY books --threads=4 --partitions=8 --stats --no-virtual-join "
-      "--value-index //book");
+      "QUERY books --threads=4 --stats --no-virtual-join --value-index "
+      "//book");
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_TRUE(r->overrides.threads.has_value());
   EXPECT_EQ(*r->overrides.threads, 4);
-  ASSERT_TRUE(r->overrides.partitions.has_value());
-  EXPECT_EQ(*r->overrides.partitions, 8);
   EXPECT_EQ(r->overrides.collect_stats, true);
   EXPECT_EQ(r->overrides.virtual_join, false);
   EXPECT_EQ(r->overrides.use_value_index, true);
@@ -56,7 +54,6 @@ TEST(ProtocolTest, ParsesQueryOptions) {
   auto bare = ParseRequest("QUERY books //book");
   ASSERT_TRUE(bare.ok());
   EXPECT_FALSE(bare->overrides.threads.has_value());
-  EXPECT_FALSE(bare->overrides.partitions.has_value());
   EXPECT_FALSE(bare->overrides.collect_stats.has_value());
 }
 
@@ -69,11 +66,8 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
            "QUERY books --stats",      // options but no path
            "QUERY books --threads=x //b",  // bad option value
            "QUERY books --threads=-1 //b",
-           "QUERY books --partitions=x //b",
-           "QUERY books --partitions=-1 //b",
-           "QUERY books --partitions= //b",
-           "QUERY books --partitions=9999 //b",
            "QUERY books --frobnicate //b",
+           "QUERY books --partitions=8 //b",  // removed option
            "QUERY books/ //b",         // empty view
            "QUERY /v //b",             // empty doc
            "QUERY a/b/c //b",          // view with slash

@@ -35,8 +35,7 @@ int Usage() {
       "             [--port N] [--port-file <path>] [--host A.B.C.D]\n"
       "             [--workers N] [--max-inflight N]\n"
       "             [--rate QPS] [--burst N] [--result-cache N]\n"
-      "             [--threads N (per-query default)]\n"
-      "             [--partitions N (per-query default)] [--no-mmap]\n");
+      "             [--threads N (per-query default)] [--no-mmap]\n");
   return 2;
 }
 
@@ -86,8 +85,6 @@ int main(int argc, char** argv) {
           static_cast<size_t>(std::atoll(v));
     } else if (arg == "--threads" && (v = next())) {
       engine_defaults.threads = std::atoi(v);
-    } else if (arg == "--partitions" && (v = next())) {
-      engine_defaults.partitions = std::atoi(v);
     } else if (arg == "--mmap") {
       use_mmap = true;
     } else if (arg == "--no-mmap") {

@@ -43,8 +43,8 @@ using namespace vpbn;
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  vpbnq [--bulk] [--threads N] [--partitions N] [--stats] "
-               "[--json <file>] <file.xml> <xpath>\n"
+               "  vpbnq [--bulk] [--threads N] [--stats] [--json <file>] "
+               "<file.xml> <xpath>\n"
                "  vpbnq [--threads N] [--stats] [--json <file>] --view "
                "<vdataguide> <file.xml> <xpath>\n"
                "  vpbnq --materialize <vdataguide> <file.xml>\n"
@@ -53,8 +53,8 @@ int Usage() {
                "  vpbnq --numbers <file.xml>\n"
                "  vpbnq --xquery <query> <file.xml>\n"
                "  vpbnq --save-snapshot <snap> <file.xml> [<xpath>]\n"
-               "  vpbnq --load-snapshot [--no-mmap] [--threads N] "
-               "[--partitions N] [--stats] [--json <file>] <snap> <xpath>\n");
+               "  vpbnq --load-snapshot [--no-mmap] [--threads N] [--stats] "
+               "[--json <file>] <snap> <xpath>\n");
   return 2;
 }
 
@@ -131,9 +131,6 @@ int main(int argc, char** argv) {
   for (auto it = args.begin(); it != args.end();) {
     if (*it == "--threads" && std::next(it) != args.end()) {
       exec_overrides.threads = std::atoi(std::next(it)->c_str());
-      it = args.erase(it, it + 2);
-    } else if (*it == "--partitions" && std::next(it) != args.end()) {
-      exec_overrides.partitions = std::atoi(std::next(it)->c_str());
       it = args.erase(it, it + 2);
     } else if (*it == "--stats") {
       exec_overrides.collect_stats = true;
