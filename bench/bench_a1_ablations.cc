@@ -1,18 +1,14 @@
 /// \file bench_a1_ablations.cc
 /// \brief A1 (ablations): the design choices DESIGN.md calls out, measured.
 ///
-///   a) Value index on/off — §6's intact-subtree range copies versus full
-///      piecewise assembly of every virtual value.
-///   b) Binary snapshot load versus XML re-parse — the storage substrate's
+///   a) Binary snapshot load versus XML re-parse — the storage substrate's
 ///      load path.
-///   c) Gapped dynamic numbering versus dense renumber-on-insert — the
+///   b) Gapped dynamic numbering versus dense renumber-on-insert — the
 ///      update infrastructure the paper cites as orthogonal (§3).
 
 #include <benchmark/benchmark.h>
 
 #include "pbn/dynamic.h"
-#include "storage/stored_document.h"
-#include "vpbn/virtual_value.h"
 #include "workload/books.h"
 #include "xml/binary_io.h"
 #include "xml/parser.h"
@@ -24,44 +20,18 @@ using namespace vpbn;
 
 struct Setup {
   xml::Document doc;
-  storage::StoredDocument stored;
 
   static Setup* Get() {
     static Setup* s = [] {
       workload::BooksOptions opts;
       opts.num_books = 1500;
-      auto* setup = new Setup{workload::GenerateBooks(opts), {}};
-      setup->stored = storage::StoredDocument::Build(setup->doc);
-      return setup;
+      return new Setup{workload::GenerateBooks(opts)};
     }();
     return s;
   }
 };
 
-// ---- (a) value index on/off -------------------------------------------
-
-void BM_ValueComputation(benchmark::State& state) {
-  Setup* s = Setup::Get();
-  bool use_index = state.range(0) != 0;
-  // A spec where most subtrees are intact, the case the optimization is
-  // designed for.
-  auto vdoc = virt::VirtualDocument::Open(s->stored, "book { ** }");
-  if (!vdoc.ok()) {
-    state.SkipWithError(vdoc.status().ToString().c_str());
-    return;
-  }
-  virt::VirtualValueComputer values(*vdoc, use_index);
-  std::vector<virt::VirtualNode> roots = vdoc->Roots();
-  for (auto _ : state) {
-    size_t bytes = 0;
-    for (const virt::VirtualNode& r : roots) bytes += values.Value(r).size();
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetLabel(use_index ? "value_index_on" : "value_index_off");
-}
-BENCHMARK(BM_ValueComputation)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-// ---- (b) snapshot load vs XML parse -----------------------------------
+// ---- (a) snapshot load vs XML parse -----------------------------------
 
 void BM_LoadPath(benchmark::State& state) {
   Setup* s = Setup::Get();
@@ -84,7 +54,7 @@ void BM_LoadPath(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadPath)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// ---- (c) gapped vs dense dynamic numbering ----------------------------
+// ---- (b) gapped vs dense dynamic numbering ----------------------------
 
 void BM_InsertChurn(benchmark::State& state) {
   uint32_t gap = static_cast<uint32_t>(state.range(0));

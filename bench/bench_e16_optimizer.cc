@@ -1,37 +1,37 @@
 /// \file bench_e16_optimizer.cc
-/// \brief E16: cost-based plan selection vs every fixed strategy, across
-/// workloads and selectivities, with zone-map data skipping.
+/// \brief E16: cost-based plan selection vs fixed plans, across workloads
+/// and selectivities, with zone-map data skipping.
 ///
-/// Four strategies answer the same query battery over the same
+/// Three strategies answer the same query battery over the same
 /// StoredDocuments:
 ///
-///   scan       engine, use_value_index=false, use_cost_model=false —
-///              the per-node string-compare baseline
-///   pushdown   engine, use_value_index=true, use_cost_model=false —
-///              the fixed-threshold rule heuristics of E12
-///   indexed    EvalIndexed directly — the per-node indexed plan, fixed
-///              thresholds, no bulk fragment
+///   nav        EvalNav over the stored document's DOM — tree walking,
+///              no index at all
+///   indexed    EvalIndexed directly — the per-node indexed plan for
+///              every query, never the bulk joins
 ///   optimizer  engine defaults — the cost model picks the plan, the
 ///              predicate strategy and the zone-skipped scans
 ///
-/// Results are byte-identical across all four (asserted on every query
-/// before any timing); only the wall clock, the chosen plan and the skip
-/// counters move. The optimizer's claim: within a small margin of the best
-/// fixed strategy on every point — no fixed strategy is safe to hardcode,
-/// and the cost model never picks a disastrous plan — and strictly ahead
-/// of each fixed strategy on the geomean across the battery. Emits a table
-/// to stdout and a JSON record per query plus the geomean summary.
+/// Results are byte-identical across all three (asserted on every query
+/// before any timing); only the wall clock, the plan and the skip counters
+/// move. The optimizer's claim: within a small margin of the best fixed
+/// plan on every point — neither is safe to hardcode, and the cost model
+/// never picks a disastrous plan — and strictly ahead of each fixed plan on
+/// the geomean across the battery. Emits a table to stdout and a JSON
+/// record per query plus the geomean summary.
 ///
 ///   $ ./bench_e16_optimizer [out.json] [--benchmark_min_time=0.01s]
 ///
 /// The --benchmark_min_time flag (Google-Benchmark spelling, accepted for
 /// CI smoke runs) shrinks the workload and repetition count.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -153,11 +153,10 @@ int main(int argc, char** argv) {
     std::string workload;
     std::string query;
     size_t nodes = 0;
-    std::string chosen_plan;
+    std::string plan;
     uint64_t est_rows = 0;
     uint64_t zone_map_skips = 0;
-    double scan_ms = 0;
-    double pushdown_ms = 0;
+    double nav_ms = 0;
     double indexed_ms = 0;
     double optimizer_ms = 0;
   };
@@ -175,28 +174,23 @@ int main(int argc, char** argv) {
                    prepared.status().ToString().c_str());
       return 1;
     }
-    query::ExecOverrides scan_opts;
-    scan_opts.use_value_index = false;
-    scan_opts.use_cost_model = false;
-    query::ExecOverrides push_opts;
-    push_opts.use_value_index = true;
-    push_opts.use_cost_model = false;
     query::ExecOverrides opt_opts;
     opt_opts.collect_stats = true;
 
-    // One run per strategy up front: byte-identity across all four, and
+    // One run per strategy up front: byte-identity across all three, and
     // the optimizer's stats for the record.
-    auto scan_r = engine.Execute(*prepared, scan_opts);
-    auto push_r = engine.Execute(*prepared, push_opts);
-    auto opt_r = engine.Execute(*prepared, opt_opts);
+    auto nav_r = query::EvalNav(stored->doc(), prepared->path());
     auto idx_r = query::EvalIndexed(*stored, prepared->path());
-    if (!scan_r.ok() || !push_r.ok() || !opt_r.ok() || !idx_r.ok()) {
+    auto opt_r = engine.Execute(*prepared, opt_opts);
+    if (!nav_r.ok() || !idx_r.ok() || !opt_r.ok()) {
       std::fprintf(stderr, "execute failed on %s\n", c.query.c_str());
       return 1;
     }
-    if (scan_r->pbn_nodes() != opt_r->pbn_nodes() ||
-        push_r->pbn_nodes() != opt_r->pbn_nodes() ||
-        *idx_r != opt_r->pbn_nodes()) {
+    std::vector<num::Pbn> nav_pbns;
+    for (xml::NodeId id : *nav_r) {
+      nav_pbns.push_back(stored->numbering().OfNode(id));
+    }
+    if (nav_pbns != opt_r->pbn_nodes() || *idx_r != opt_r->pbn_nodes()) {
       std::fprintf(stderr, "DIVERGENCE on %s\n", c.query.c_str());
       return 1;
     }
@@ -206,15 +200,12 @@ int main(int argc, char** argv) {
     row.workload = c.workload;
     row.query = c.query;
     row.nodes = opt_r->size();
-    row.chosen_plan = opt_r->stats().chosen_plan;
+    row.plan = opt_r->stats().plan;
     row.est_rows = opt_r->stats().est_rows;
     row.zone_map_skips = opt_r->stats().zone_map_skips;
     opt_opts.collect_stats = false;
-    row.scan_ms = bench::MedianMs(reps, [&] {
-      sink += engine.Execute(*prepared, scan_opts)->size();
-    });
-    row.pushdown_ms = bench::MedianMs(reps, [&] {
-      sink += engine.Execute(*prepared, push_opts)->size();
+    row.nav_ms = bench::MedianMs(reps, [&] {
+      sink += query::EvalNav(stored->doc(), prepared->path())->size();
     });
     row.indexed_ms = bench::MedianMs(reps, [&] {
       sink += query::EvalIndexed(*stored, prepared->path())->size();
@@ -225,32 +216,30 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // Per-point best fixed strategy and the geomean ledger.
-  double log_scan = 0, log_push = 0, log_idx = 0, log_best = 0;
-  bench::Table table({"case", "plan", "nodes", "skips", "scan ms", "push ms",
-                      "index ms", "opt ms", "best fixed", "opt/best"});
+  // Per-point best fixed plan and the geomean ledger.
+  double log_nav = 0, log_idx = 0, log_best = 0;
+  bench::Table table({"case", "plan", "nodes", "skips", "nav ms", "index ms",
+                      "opt ms", "best fixed", "opt/best"});
   for (const Row& r : rows) {
-    double best = std::min({r.scan_ms, r.pushdown_ms, r.indexed_ms});
+    double best = std::min(r.nav_ms, r.indexed_ms);
     double opt = r.optimizer_ms > 0 ? r.optimizer_ms : 1e-9;
-    log_scan += std::log(r.scan_ms / opt);
-    log_push += std::log(r.pushdown_ms / opt);
+    log_nav += std::log(r.nav_ms / opt);
     log_idx += std::log(r.indexed_ms / opt);
     log_best += std::log(opt / (best > 0 ? best : 1e-9));
-    table.AddRow({r.label, r.chosen_plan, std::to_string(r.nodes),
-                  std::to_string(r.zone_map_skips), Fmt(r.scan_ms),
-                  Fmt(r.pushdown_ms), Fmt(r.indexed_ms), Fmt(r.optimizer_ms),
-                  Fmt(best), Fmt(opt / (best > 0 ? best : 1e-9), 3)});
+    table.AddRow({r.label, r.plan, std::to_string(r.nodes),
+                  std::to_string(r.zone_map_skips), Fmt(r.nav_ms),
+                  Fmt(r.indexed_ms), Fmt(r.optimizer_ms), Fmt(best),
+                  Fmt(opt / (best > 0 ? best : 1e-9), 3)});
   }
   const double n = static_cast<double>(rows.size());
-  const double gm_scan = std::exp(log_scan / n);
-  const double gm_push = std::exp(log_push / n);
+  const double gm_nav = std::exp(log_nav / n);
   const double gm_idx = std::exp(log_idx / n);
   const double gm_best = std::exp(log_best / n);
   table.Print();
   std::printf(
-      "\ngeomean speedup of optimizer vs: scan %.3fx  pushdown %.3fx  "
-      "indexed %.3fx;  optimizer/best-fixed %.3f\n",
-      gm_scan, gm_push, gm_idx, gm_best);
+      "\ngeomean speedup of optimizer vs: nav %.3fx  indexed %.3fx;  "
+      "optimizer/best-fixed %.3f\n",
+      gm_nav, gm_idx, gm_best);
 
   FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -263,34 +252,36 @@ int main(int argc, char** argv) {
                "  \"workloads\": {\"books\": %zu, \"auctions\": %zu, "
                "\"clustered\": %zu},\n"
                "  \"reps\": %d,\n"
+               "  \"hw_threads\": %u,\n"
                "  \"queries\": [",
                static_cast<size_t>(books->doc().num_nodes()),
                static_cast<size_t>(auctions->doc().num_nodes()),
-               static_cast<size_t>(clustered->doc().num_nodes()), reps);
+               static_cast<size_t>(clustered->doc().num_nodes()), reps,
+               std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    double best = std::min({r.scan_ms, r.pushdown_ms, r.indexed_ms});
+    double best = std::min(r.nav_ms, r.indexed_ms);
     std::fprintf(
         out,
         "%s\n    {\"case\": \"%s\", \"workload\": \"%s\", \"query\": \"%s\", "
-        "\"result_nodes\": %zu, \"chosen_plan\": \"%s\", \"est_rows\": %llu, "
-        "\"zone_map_skips\": %llu, \"scan_ms\": %.4f, \"pushdown_ms\": %.4f, "
+        "\"result_nodes\": %zu, \"plan\": \"%s\", \"est_rows\": %llu, "
+        "\"zone_map_skips\": %llu, \"nav_ms\": %.4f, "
         "\"indexed_ms\": %.4f, \"optimizer_ms\": %.4f, "
         "\"best_fixed_ms\": %.4f, \"opt_over_best\": %.4f}",
         i == 0 ? "" : ",", r.label.c_str(), r.workload.c_str(),
-        JsonEscape(r.query).c_str(), r.nodes, r.chosen_plan.c_str(),
+        JsonEscape(r.query).c_str(), r.nodes, r.plan.c_str(),
         static_cast<unsigned long long>(r.est_rows),
-        static_cast<unsigned long long>(r.zone_map_skips), r.scan_ms,
-        r.pushdown_ms, r.indexed_ms, r.optimizer_ms, best,
+        static_cast<unsigned long long>(r.zone_map_skips), r.nav_ms,
+        r.indexed_ms, r.optimizer_ms, best,
         r.optimizer_ms / (best > 0 ? best : 1e-9));
   }
   std::fprintf(out,
                "\n  ],\n"
-               "  \"geomean\": {\"scan_over_opt\": %.4f, "
-               "\"pushdown_over_opt\": %.4f, \"indexed_over_opt\": %.4f, "
+               "  \"geomean\": {\"nav_over_opt\": %.4f, "
+               "\"indexed_over_opt\": %.4f, "
                "\"opt_over_best_fixed\": %.4f},\n"
                "  \"sink\": %zu\n}\n",
-               gm_scan, gm_push, gm_idx, gm_best, sink % 2);
+               gm_nav, gm_idx, gm_best, sink % 2);
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path);
   return 0;

@@ -2,8 +2,8 @@
 /// \brief Costed plan and strategy selection over a StoredDocument, fed by
 /// query/cardinality.h estimates and the value index's zone maps.
 ///
-/// Every decision the evaluators used to make with a fixed threshold is a
-/// method here, so the `ExecOptions::use_cost_model` knob swaps one layer:
+/// Every strategy decision the evaluators make is a method here, so there
+/// is one layer to read and tune:
 ///
 ///   * **Stored plan** (engine Prepare): bulk set-at-a-time joins vs the
 ///     per-node indexed evaluator, for paths inside the bulk fragment
@@ -16,9 +16,8 @@
 ///     zone-map block skipping, never materializing rows at all (wins at
 ///     high selectivity, where the witness sort alone costs more than the
 ///     whole scan).
-///   * **Merge vs walk** (eval_virtual BatchAxis): replaces the fixed
-///     kDefaultVJoinMinContext = 16 context-size threshold with a costed
-///     comparison of the vtype merge join against per-node range walks.
+///   * **Merge vs walk** (eval_virtual BatchAxis): a costed comparison of
+///     the vtype merge join against per-node range walks.
 ///
 /// Costs are abstract work units (roughly "one streamed row" = 1). The
 /// zone-map survivor fraction is *computed, not estimated*: the per-block
@@ -100,8 +99,7 @@ class CostModel {
 
   /// Costed merge-vs-walk for a virtual axis step: a vtype merge join
   /// streams context + candidates once after setup; a walk binary-searches
-  /// the candidate list per context node. Replaces the fixed context-size
-  /// threshold.
+  /// the candidate list per context node.
   bool MergeBeatsWalk(size_t n_context, size_t n_candidates) const {
     double merge = w_.setup + (static_cast<double>(n_context) +
                                static_cast<double>(n_candidates)) *

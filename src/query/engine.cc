@@ -51,8 +51,6 @@ std::string ExecStats::ToString() const {
                     " value_scan_fallbacks=" + std::to_string(value_scan_fallbacks) +
                     " zone_map_skips=" + std::to_string(zone_map_skips) +
                     " est_rows=" + std::to_string(est_rows) +
-                    (chosen_plan.empty() ? std::string()
-                                         : " chosen_plan=" + chosen_plan) +
                     " plan_cache=" + std::to_string(plan_cache_hits) + "h/" +
                     std::to_string(plan_cache_misses) + "m" +
                     " result_cache=" + std::to_string(result_cache_hits) +
@@ -95,7 +93,6 @@ std::string ExecStats::ToJson() const {
   add_u64("value_scan_fallbacks", value_scan_fallbacks);
   add_u64("zone_map_skips", zone_map_skips);
   add_u64("est_rows", est_rows);
-  out += "\"chosen_plan\":\"" + JsonEscape(chosen_plan) + "\",";
   add_u64("plan_cache_hits", plan_cache_hits);
   add_u64("plan_cache_misses", plan_cache_misses);
   add_u64("result_cache_hits", result_cache_hits);
@@ -142,15 +139,6 @@ ExecOptions QueryEngine::EffectiveOptions(
   if (overrides.collect_stats) {
     effective.collect_stats = *overrides.collect_stats;
   }
-  if (overrides.virtual_join) {
-    effective.virtual_join = *overrides.virtual_join;
-  }
-  if (overrides.use_value_index) {
-    effective.use_value_index = *overrides.use_value_index;
-  }
-  if (overrides.use_cost_model) {
-    effective.use_cost_model = *overrides.use_cost_model;
-  }
   return effective;
 }
 
@@ -196,25 +184,18 @@ Result<PreparedQuery> QueryEngine::Prepare(std::string_view path_text) const {
   q.stats_epoch_ = stats_epoch_.load(std::memory_order_relaxed);
   if (doc_ != nullptr) {
     q.plan_ = PlanKind::kNav;
-    q.cost_plan_ = q.plan_;
   } else if (stored_ != nullptr) {
-    // Fragment rule: set-at-a-time joins where the fragment allows; the
-    // per-node indexed evaluator handles everything else.
-    const bool in_fragment = InBulkFragment(q.path());
-    q.plan_ = in_fragment ? PlanKind::kBulk : PlanKind::kIndexed;
-    // Costed choice: within the fragment, compare the two plans on the
-    // cardinality estimates (outside it there is no decision to make).
-    // Execute picks cost_plan_ or plan_ by ExecOptions::use_cost_model.
+    // Within the bulk fragment the cost model compares set-at-a-time joins
+    // with the per-node indexed evaluator on the cardinality estimates;
+    // outside it indexed is the only applicable plan.
     CostModel cm(*stored_);
-    q.cost_plan_ = in_fragment
-                       ? (cm.BulkBeatsIndexed(q.path()) ? PlanKind::kBulk
-                                                        : PlanKind::kIndexed)
-                       : PlanKind::kIndexed;
+    q.plan_ = InBulkFragment(q.path()) && cm.BulkBeatsIndexed(q.path())
+                  ? PlanKind::kBulk
+                  : PlanKind::kIndexed;
     double est = cm.EstimateResultRows(q.path());
     q.est_rows_ = est > 0 ? static_cast<uint64_t>(est + 0.5) : 0;
   } else {
     q.plan_ = PlanKind::kVirtual;
-    q.cost_plan_ = q.plan_;
   }
 
   std::lock_guard<std::mutex> lock(cache_mu_);
@@ -277,17 +258,10 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
   }
   common::ThreadPool* pool = PoolFor(options.threads);
   ExecContext ctx(pool, options.collect_stats);
-  ctx.set_virtual_join(options.virtual_join);
-  ctx.set_use_value_index(options.use_value_index);
-  ctx.set_use_cost_model(options.use_cost_model);
-  // The costed bulk-vs-indexed choice only exists on the stored substrate;
-  // everywhere else both plans coincide.
-  const PlanKind effective_plan =
-      options.use_cost_model ? query.cost_plan() : query.plan();
   auto t0 = std::chrono::steady_clock::now();
 
   QueryResult result;
-  switch (effective_plan) {
+  switch (query.plan()) {
     case PlanKind::kNav: {
       VPBN_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
                             EvalNav(*doc_, query.path(), &ctx));
@@ -319,15 +293,10 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
                       std::chrono::steady_clock::now() - t0)
                       .count();
   stats.threads = pool != nullptr ? pool->num_threads() : 1;
-  stats.plan = PlanKindToString(effective_plan);
-  if (stored_ != nullptr) {
-    stats.chosen_plan =
-        std::string(options.use_cost_model ? "cost:" : "rule:") +
-        PlanKindToString(effective_plan);
-    stats.est_rows = query.est_rows();
-  }
+  stats.plan = PlanKindToString(query.plan());
   stats.result_nodes = result.size();
   if (stored_ != nullptr) {
+    stats.est_rows = query.est_rows();
     stats.ingest_ms = stored_->ingest_ms();
     stats.snapshot_load = stored_->from_snapshot();
     stats.snapshot_bytes = stored_->snapshot_bytes();

@@ -7,9 +7,9 @@
 /// separates the two phases:
 ///
 ///   * **Prepare(path_text)** parses once and plans once — over a
-///     StoredDocument it decides bulk-join vs per-node-indexed from the
-///     path's shape; over a Document it plans navigational; over a
-///     VirtualDocument, virtual (vPBN) evaluation.
+///     StoredDocument the cost model decides bulk-join vs per-node-indexed;
+///     over a Document it plans navigational; over a VirtualDocument,
+///     virtual (vPBN) evaluation.
 ///   * **Execute(prepared, ExecOverrides)** runs the plan, optionally on a
 ///     thread pool (partitioned structural joins, per-context-node
 ///     fan-out) and optionally collecting per-query ExecStats.
@@ -79,15 +79,10 @@ const char* PlanKindToString(PlanKind plan);
 class PreparedQuery {
  public:
   const Path& path() const { return *path_; }
+  /// The plan Execute runs. On a stored document the cost model picks
+  /// bulk or indexed (query/cost_model.h); elsewhere one plan applies.
   PlanKind plan() const { return plan_; }
   const std::string& text() const { return text_; }
-
-  /// The costed plan choice for a stored-document query (equals plan()
-  /// when the cost model agrees with the fragment rule, or when only one
-  /// plan applies). Execute picks cost_plan() when
-  /// ExecOptions::use_cost_model is set, plan() otherwise — one cached
-  /// PreparedQuery serves both settings.
-  PlanKind cost_plan() const { return cost_plan_; }
 
   /// The planner's estimated result cardinality (stored substrate only;
   /// 0 elsewhere). Stamped into ExecStats::est_rows.
@@ -109,7 +104,6 @@ class PreparedQuery {
   friend class QueryEngine;
   std::shared_ptr<const Path> path_;
   PlanKind plan_ = PlanKind::kNav;
-  PlanKind cost_plan_ = PlanKind::kNav;
   std::string text_;
   uint64_t est_rows_ = 0;
   uint64_t engine_id_ = 0;
@@ -117,32 +111,16 @@ class PreparedQuery {
   uint64_t stats_epoch_ = 0;
 };
 
-/// \brief Fully resolved execution knobs. What Execute actually runs with:
-/// either the engine defaults verbatim, or the defaults with an
-/// ExecOverrides delta merged on top (EffectiveOptions).
+/// \brief Fully resolved execution options. What Execute actually runs
+/// with: either the engine defaults verbatim, or the defaults with an
+/// ExecOverrides delta merged on top (EffectiveOptions). Neither field
+/// changes an answer.
 struct ExecOptions {
   /// Thread budget: 1 = sequential (default), 0 = hardware concurrency,
   /// N > 1 = pool of N. Results are identical for every value.
   int threads = 1;
   /// Collect ExecStats (counters + per-step timings) into the result.
   bool collect_stats = false;
-  /// Virtual plans only: evaluate eligible axis steps with vtype-
-  /// partitioned merge joins (default) instead of per-candidate predicate
-  /// scans. Results are identical either way; off is the benchmark
-  /// baseline.
-  bool virtual_join = true;
-  /// Answer value predicates (equality / relational / contains) from the
-  /// dictionary-encoded value index (default) instead of scanning each
-  /// node's string value. Results are identical either way; off is the
-  /// per-node-scan baseline the E12 benchmark measures.
-  bool use_value_index = true;
-  /// Pick plans and evaluation strategies with the cost model
-  /// (query/cost_model.h) — cardinality-estimated bulk-vs-indexed,
-  /// predicate strategy, merge-vs-walk — and skip value blocks via zone
-  /// maps (default). Off reverts every decision to the fixed-threshold
-  /// heuristics. Results are identical either way; off is the E16
-  /// fixed-strategy baseline.
-  bool use_cost_model = true;
 
   bool operator==(const ExecOptions&) const = default;
 };
@@ -156,9 +134,6 @@ struct ExecOptions {
 struct ExecOverrides {
   std::optional<int> threads;
   std::optional<bool> collect_stats;
-  std::optional<bool> virtual_join;
-  std::optional<bool> use_value_index;
-  std::optional<bool> use_cost_model;
 };
 
 /// \brief Result nodes in the substrate's native handle type, plus stats.
@@ -228,9 +203,9 @@ class QueryEngine {
   /// \name Engine-level default options
   /// SetDefaultOptions replaces the defaults Execute resolves overrides
   /// against; EffectiveOptions is that merge, exposed so callers (the
-  /// server's result-cache key) can see exactly what a request will run
-  /// with. Thread-safe, but intended to be configured before the engine is
-  /// shared.
+  /// server, deciding whether to attach stats) can see exactly what a
+  /// request will run with. Thread-safe, but intended to be configured
+  /// before the engine is shared.
   /// @{
   void SetDefaultOptions(const ExecOptions& options);
   ExecOptions default_options() const;

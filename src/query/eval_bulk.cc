@@ -112,10 +112,6 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
                 size_t first_step, State state, bool from_document,
                 ExecContext* ctx);
 
-bool UseValueIndex(ExecContext* ctx) {
-  return ctx == nullptr || ctx->use_value_index();
-}
-
 /// kScanProbe: answers a [path op literal] predicate per context instance by
 /// scanning its terminal-row range in the term column directly — no
 /// matching-rows materialization, no witness sort. Whole 256-row blocks the
@@ -229,10 +225,11 @@ PackedPbnList PredRowsProbe(const storage::StoredDocument& stored,
 
 /// Applies one recognized value predicate to one type's surviving list.
 ///
-/// Path-compare predicates collect witness instances from the terminal
-/// types' dictionary postings / numeric slices (per-node string scan where
-/// a type has no column or the index is disabled) and semi-join them
-/// against the context; attribute predicates mask the context list with
+/// Path-compare predicates pick a strategy with the cost model when every
+/// terminal type has a value column; otherwise they collect witness
+/// instances from the terminal types' dictionary postings / numeric slices
+/// (per-node string scan where a type has no column) and semi-join them
+/// against the context. Attribute predicates mask the context list with
 /// per-row term tests; contains()/starts-with() on a path tests each
 /// context instance's document-order-first terminal instance against a
 /// term bitmap (XPath coerces a node set to its first node's value).
@@ -242,7 +239,6 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
                              ExecContext* ctx) {
   const idx::ValueIndex& vi = stored.value_index();
   const dg::DataGuide& g = stored.dataguide();
-  const bool use_index = UseValueIndex(ctx);
   PackedPbnList out;
   switch (vp.kind) {
     case ValuePred::Kind::kAttrCompare:
@@ -251,86 +247,53 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
       const idx::Dictionary& dict = vi.dict();
       const idx::AttrColumn* col = vi.Attr(t, vp.attr);
       std::shared_ptr<const std::vector<uint8_t>> bitmap;
-      if (!is_compare && use_index) {
-        bitmap = TermBitmap(dict, vp.str_fn, vp.lit.text, ctx);
-      }
+      if (!is_compare) bitmap = TermBitmap(dict, vp.str_fn, vp.lit.text, ctx);
       const num::PackedPbnList& full = stored.PackedNodesOfType(t);
-      const std::vector<xml::NodeId>& ids = stored.NodeIdsOfType(t);
       for (size_t i = 0; i < list.size(); ++i) {
         // The surviving instance's row in the full type list (exact hit).
         size_t row = full.LowerBound(list[i]);
-        bool keep;
-        if (use_index) {
-          uint32_t term =
-              col != nullptr ? col->term_ids[row] : idx::kNoTerm;
-          keep = is_compare
-                     ? TermMatches(dict, term, vp.op, vp.lit)
-                     : (term == idx::kNoTerm ? vp.lit.text.empty()
-                                             : (*bitmap)[term] != 0);
-        } else {
-          // Ablation baseline: fetch the attribute from the document. A
-          // missing attribute compares false under every operator and
-          // coerces to "" for the string functions.
-          std::string hay;
-          bool present = false;
-          if (stored.doc().IsElement(ids[row])) {
-            auto attr = stored.doc().AttributeValue(ids[row], vp.attr);
-            if (attr.ok()) {
-              present = true;
-              hay = std::move(attr).ValueUnsafe();
-            }
-          }
-          keep = is_compare
-                     ? (present && CompareValues(hay, vp.op, vp.lit.text))
-                     : TermMatchesString(hay, vp.str_fn, vp.lit.text);
-        }
+        uint32_t term = col != nullptr ? col->term_ids[row] : idx::kNoTerm;
+        bool keep = is_compare
+                        ? TermMatches(dict, term, vp.op, vp.lit)
+                        : (term == idx::kNoTerm ? vp.lit.text.empty()
+                                                : (*bitmap)[term] != 0);
         if (keep) out.Append(list[i]);
       }
-      if (ctx != nullptr) {
-        if (use_index) {
-          ctx->CountValueIndexLookups(list.size());
-        } else {
-          ctx->CountValueScanFallbacks(list.size());
-        }
-      }
+      if (ctx != nullptr) ctx->CountValueIndexLookups(list.size());
       return out;
     }
     case ValuePred::Kind::kPathCompare: {
       auto tts = ChainTypes(g, vp.path, t, ctx);
-      if (use_index && ctx != nullptr && ctx->use_cost_model()) {
-        // Costed strategy choice, applicable when every terminal type has a
-        // value column (all three strategies are byte-identical; an
-        // uncovered type needs the scan fallback below either way).
-        bool covered = true;
-        for (dg::TypeId tt : *tts) {
-          if (vi.Column(tt) == nullptr) {
-            covered = false;
-            break;
-          }
+      // Costed strategy choice, applicable when every terminal type has a
+      // value column (all three strategies are byte-identical; an
+      // uncovered type needs the scan fallback below either way).
+      const bool covered =
+          !tts->empty() &&
+          std::all_of(tts->begin(), tts->end(), [&](dg::TypeId tt) {
+            return vi.Column(tt) != nullptr;
+          });
+      if (covered) {
+        CostModel cm(stored);
+        PredPlan plan =
+            cm.ChoosePredStrategy(t, list.size(), *tts, vp.op, vp.lit);
+        if (plan.strategy == PredStrategy::kScanProbe) {
+          return PredScanProbe(stored, vp, *tts, list, ctx);
         }
-        if (covered && !tts->empty()) {
-          CostModel cm(stored);
-          PredPlan plan =
-              cm.ChoosePredStrategy(t, list.size(), *tts, vp.op, vp.lit);
-          if (plan.strategy == PredStrategy::kScanProbe) {
-            return PredScanProbe(stored, vp, *tts, list, ctx);
-          }
-          if (plan.strategy == PredStrategy::kRowsProbe) {
-            return PredRowsProbe(stored, pred, vp, *tts, list, ctx);
-          }
-          // kWitness falls through to the default path below.
+        if (plan.strategy == PredStrategy::kRowsProbe) {
+          return PredRowsProbe(stored, pred, vp, *tts, list, ctx);
         }
+        // kWitness falls through to the default path below.
       }
       PackedPbnList witnesses;
       for (dg::TypeId tt : *tts) {
         const idx::TypeColumn* col = vi.Column(tt);
         const num::PackedPbnList& packed = stored.PackedNodesOfType(tt);
-        if (use_index && col != nullptr) {
+        if (col != nullptr) {
           auto rows = MatchingRows(*col, pred, tt, vp.op, vp.lit, ctx);
           for (uint32_t row : *rows) witnesses.Append(packed[row]);
         } else {
-          // Uncovered terminal type (nested structure) or ablation: scan
-          // every instance's assembled string value.
+          // Uncovered terminal type (nested structure): scan every
+          // instance's assembled string value.
           const std::vector<xml::NodeId>& ids = stored.NodeIdsOfType(tt);
           for (size_t row = 0; row < ids.size(); ++row) {
             if (CompareValues(stored.doc().StringValue(ids[row]), vp.op,
@@ -346,8 +309,7 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
     }
     case ValuePred::Kind::kPathString: {
       auto tts = ChainTypes(g, vp.path, t, ctx);
-      std::shared_ptr<const std::vector<uint8_t>> bitmap;
-      if (use_index) bitmap = TermBitmap(vi.dict(), vp.str_fn, vp.lit.text, ctx);
+      auto bitmap = TermBitmap(vi.dict(), vp.str_fn, vp.lit.text, ctx);
       for (size_t i = 0; i < list.size(); ++i) {
         // Document-order-first terminal instance within this context
         // instance (the node the scan path's string coercion reads).
@@ -371,7 +333,7 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
           keep = vp.lit.text.empty();  // empty node set coerces to ""
         } else {
           const idx::TypeColumn* col = vi.Column(best_tt);
-          if (use_index && col != nullptr) {
+          if (col != nullptr) {
             keep = (*bitmap)[col->term_ids[best_row]] != 0;
           } else {
             keep = TermMatchesString(
@@ -383,9 +345,7 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
         }
         if (keep) out.Append(list[i]);
       }
-      if (ctx != nullptr && use_index) {
-        ctx->CountValueIndexLookups(list.size());
-      }
+      if (ctx != nullptr) ctx->CountValueIndexLookups(list.size());
       return out;
     }
   }
@@ -395,10 +355,9 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
 /// Rough work estimate for one predicate against the current state, used
 /// to order a step's predicates cheapest (most selective machinery) first:
 /// attribute masks touch only the context list; indexed path comparisons
-/// touch their matching rows; everything else streams over the terminal
-/// types' full instance lists. The row collections are memoized in the
-/// context, so estimating does not duplicate work the application pass
-/// would do anyway.
+/// touch their matching rows, estimated from the column histograms so that
+/// ordering materializes nothing; everything else streams over the terminal
+/// types' full instance lists.
 uint64_t EstimatePredCost(const storage::StoredDocument& stored,
                           const Expr& pred, const State& state,
                           ExecContext* ctx) {
@@ -411,27 +370,17 @@ uint64_t EstimatePredCost(const storage::StoredDocument& stored,
       for (const auto& [t, list] : state) total += list.size();
       return total;
     }
-    const bool use_index = UseValueIndex(ctx);
     for (const auto& [t, list] : state) {
       auto tts = ChainTypes(g, vp.path, t, ctx);
       for (dg::TypeId tt : *tts) {
         const idx::TypeColumn* col = stored.value_index().Column(tt);
         if (vp.kind == ValuePred::Kind::kPathString) {
-          total += use_index && col != nullptr
-                       ? list.size()
-                       : stored.PackedNodesOfType(tt).size();
-        } else if (use_index && col != nullptr) {
-          if (ctx != nullptr && ctx->use_cost_model()) {
-            // Histogram estimate: order predicates without materializing
-            // their matching-rows lists (a costed strategy may never need
-            // them at all).
-            total += static_cast<uint64_t>(
-                CardinalityEstimator::ColumnSelectivity(*col, vp.op, vp.lit) *
-                static_cast<double>(col->stats.row_count));
-          } else {
-            total +=
-                MatchingRows(*col, &pred, tt, vp.op, vp.lit, ctx)->size();
-          }
+          total += col != nullptr ? list.size()
+                                  : stored.PackedNodesOfType(tt).size();
+        } else if (col != nullptr) {
+          total += static_cast<uint64_t>(
+              CardinalityEstimator::ColumnSelectivity(*col, vp.op, vp.lit) *
+              static_cast<double>(col->stats.row_count));
         } else {
           total += stored.PackedNodesOfType(tt).size();
         }

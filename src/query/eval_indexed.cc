@@ -140,7 +140,6 @@ std::string IndexedAdapter::StringValue(const Pbn& n) const {
 
 std::optional<std::string_view> IndexedAdapter::FastStringValue(
     const Pbn& n) const {
-  if (ctx_ != nullptr && !ctx_->use_value_index()) return std::nullopt;
   xml::NodeId id = stored_->numbering().NodeOf(n).value();
   const idx::TypeColumn* col =
       stored_->value_index().Column(stored_->TypeOfNode(id));
@@ -282,11 +281,11 @@ void IndexedAdapter::EvalBatchPredicate(const Expr& e,
       for (const BatchGroup& group : groups) {
         auto tts = ChainTypes(g, vp.path, group.type, ctx_);
         // Costed choice between probing materialized matching-rows lists
-        // (the fixed behavior, wins at low selectivity) and scanning each
-        // context's terminal-row range directly with zone-map block
-        // skipping (wins at high selectivity — no materialization, early
-        // exit on the first hit). Byte-identical either way.
-        if (ctx_ != nullptr && ctx_->use_cost_model() && !tts->empty()) {
+        // (wins at low selectivity) and scanning each context's
+        // terminal-row range directly with zone-map block skipping (wins at
+        // high selectivity — no materialization, early exit on the first
+        // hit). Byte-identical either way.
+        if (!tts->empty()) {
           CostModel cm(*stored_);
           PredPlan plan = cm.ChoosePredStrategy(
               group.type, group.indexes.size(), *tts, vp.op, vp.lit);
@@ -328,9 +327,12 @@ void IndexedAdapter::EvalBatchPredicate(const Expr& e,
               }
               (*keep)[group.indexes[k]] = hit ? 1 : 0;
             }
-            ctx_->CountValueIndexLookups(group.indexes.size() * tts->size());
-            ctx_->CountValueIndexPostings(tested);
-            ctx_->CountZoneMapSkips(skips);
+            if (ctx_ != nullptr) {
+              ctx_->CountValueIndexLookups(group.indexes.size() *
+                                           tts->size());
+              ctx_->CountValueIndexPostings(tested);
+              ctx_->CountZoneMapSkips(skips);
+            }
             continue;
           }
         }
@@ -395,7 +397,6 @@ void IndexedAdapter::EvalBatchPredicate(const Expr& e,
 bool IndexedAdapter::BatchPredicate(const Expr& pred,
                                     const std::vector<Pbn>& nodes,
                                     std::vector<char>* keep) const {
-  if (ctx_ == nullptr || !ctx_->use_value_index()) return false;
   if (nodes.empty()) return false;
 
   std::vector<xml::NodeId> ids(nodes.size());

@@ -33,9 +33,9 @@ class IndexedAdapter {
   /// the const interface is safe for concurrent use.
   static constexpr bool kParallelSafe = true;
 
-  /// \p ctx (optional) supplies the value-index knob and the per-query
-  /// caches the pushdown paths memoize in; with a null ctx the adapter
-  /// evaluates everything per node, as before.
+  /// \p ctx (optional) supplies the stats counters and the per-query
+  /// caches the pushdown paths memoize in; a null ctx changes no strategy,
+  /// it only leaves those out.
   explicit IndexedAdapter(const storage::StoredDocument& stored,
                           ExecContext* ctx = nullptr)
       : stored_(&stored), ctx_(ctx) {}
@@ -56,8 +56,7 @@ class IndexedAdapter {
   /// and/or/not trees over recognized value predicates and predicate-free
   /// existence chains become dictionary/numeric-column lookups intersected
   /// with packed subtree ranges. Declines (false) when the shape is not
-  /// covered, a terminal type has no value column, or the value index is
-  /// disabled.
+  /// covered or a terminal type has no value column.
   bool BatchPredicate(const Expr& pred, const std::vector<Node>& nodes,
                       std::vector<char>* keep) const;
 

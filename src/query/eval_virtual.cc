@@ -231,7 +231,6 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
                                    std::vector<VirtualNode>* flat) const {
   using num::Axis;
   if (context.empty()) return false;
-  if (ctx_ != nullptr && !ctx_->virtual_join()) return false;
   const bool desc =
       axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
   const bool anc = axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
@@ -240,28 +239,19 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
   }
   // The descendant family already scans whole candidate lists per context
   // node, so merging wins at any context size. Child / parent / ancestor
-  // trade sublinear per-node range scans for full-list merges — only worth
-  // it once the context is large enough to amortize a pass. With the cost
-  // model on, that trade is costed against the actual candidate volume
-  // (CostModel::MergeBeatsWalk); an explicitly set vjoin_min_context (tests
-  // pin it to 1 to force merging on tiny documents) still wins.
-  const size_t min_context = ctx_ != nullptr
-                                 ? ctx_->vjoin_min_context()
-                                 : ExecContext::kDefaultVJoinMinContext;
-  if (!desc) {
-    if (ctx_ != nullptr && ctx_->use_cost_model() &&
-        min_context == ExecContext::kDefaultVJoinMinContext) {
-      const vdg::VDataGuide& cvg = vdoc_->vguide();
-      const auto types = MatchingVTypes(test);  // keep the cache entry alive
-      size_t candidates = 0;
-      for (vdg::VTypeId t : *types) {
-        candidates += vdoc_->stored().NodeIdsOfType(cvg.original(t)).size();
-      }
-      CostModel cm(vdoc_->stored());
-      if (!cm.MergeBeatsWalk(context.size(), candidates)) return false;
-    } else if (context.size() < min_context) {
-      return false;
+  // trade sublinear per-node range scans for full-list merges, a trade the
+  // cost model weighs against the actual candidate volume
+  // (CostModel::MergeBeatsWalk). The ExecContext test pin forces the merge
+  // so tiny documents exercise it.
+  if (!desc && (ctx_ == nullptr || !ctx_->force_vjoin_merge())) {
+    const vdg::VDataGuide& cvg = vdoc_->vguide();
+    const auto types = MatchingVTypes(test);  // keep the cache entry alive
+    size_t candidates = 0;
+    for (vdg::VTypeId t : *types) {
+      candidates += vdoc_->stored().NodeIdsOfType(cvg.original(t)).size();
     }
+    CostModel cm(vdoc_->stored());
+    if (!cm.MergeBeatsWalk(context.size(), candidates)) return false;
   }
 
   const vdg::VDataGuide& vg = vdoc_->vguide();
@@ -546,7 +536,6 @@ std::string VirtualAdapter::StringValue(const VirtualNode& n) const {
 
 std::optional<std::string_view> VirtualAdapter::FastStringValue(
     const VirtualNode& n) const {
-  if (ctx_ != nullptr && !ctx_->use_value_index()) return std::nullopt;
   const idx::TypeColumn* col = vdoc_->ValueColumn(n.vtype);
   if (col == nullptr) return std::nullopt;
   if (ctx_ != nullptr) ctx_->CountValueIndexLookups(1);

@@ -43,8 +43,9 @@ class VirtualAdapter {
   /// concurrent use.
   static constexpr bool kParallelSafe = true;
 
-  /// \p ctx (optional) supplies the merge-join knobs, the MatchingVTypes
-  /// cache and the stats counters; it must outlive the adapter.
+  /// \p ctx (optional) supplies the thread pool, the MatchingVTypes cache,
+  /// the stats counters and the merge test pin; it must outlive the
+  /// adapter. A null ctx changes no strategy.
   explicit VirtualAdapter(const virt::VirtualDocument& vdoc,
                           ExecContext* ctx = nullptr)
       : vdoc_(&vdoc), ctx_(ctx) {}
@@ -57,8 +58,8 @@ class VirtualAdapter {
   /// Whole-context axis evaluation by vtype-pair merge joins (see the file
   /// comment). True: slots[i] holds Axis(context[i], axis, test) as a set,
   /// duplicate-free. False: axis not covered (self / order / sibling axes),
-  /// merge joins disabled (ExecContext::virtual_join), or the context is
-  /// too small for a full-list merge to beat the per-node range scans.
+  /// or the cost model finds the context too small for a full-list merge
+  /// to beat the per-node range scans.
   bool BatchAxis(const std::vector<Node>& context, num::Axis axis,
                  const NodeTest& test,
                  std::vector<std::vector<Node>>* slots) const;
@@ -80,8 +81,7 @@ class VirtualAdapter {
   /// String value served from the virtual document's per-vtype value
   /// column (intact vtypes reuse the stored index's column; covered
   /// non-intact vtypes read their lazily assembled column). nullopt when
-  /// the vtype is not covered or the value index is disabled — the caller
-  /// assembles the value per node, as before.
+  /// the vtype is not covered — the caller assembles the value per node.
   std::optional<std::string_view> FastStringValue(const Node& n) const;
 
   const virt::VirtualDocument& vdoc() const { return *vdoc_; }

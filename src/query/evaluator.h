@@ -107,11 +107,10 @@ constexpr bool AdapterHasBatchAxisFlat() {
 ///
 /// A true return means keep->at(i) records exactly the truth value the
 /// per-node EvalExpr walk would have produced for nodes[i]; false means the
-/// adapter declined (predicate shape not covered, value index disabled or
-/// type not covered) and the evaluator falls back to per-node evaluation.
-/// This is how the indexed substrate turns value predicates into dictionary
-/// postings lookups + subtree-range intersections instead of per-candidate
-/// string materialization.
+/// adapter declined (predicate shape or type not covered) and the evaluator
+/// falls back to per-node evaluation. This is how the indexed substrate
+/// turns value predicates into dictionary postings lookups + subtree-range
+/// intersections instead of per-candidate string materialization.
 template <typename Adapter>
 constexpr bool AdapterHasBatchPredicate() {
   return requires(const Adapter& a, const Expr& pred,
@@ -127,11 +126,11 @@ constexpr bool AdapterHasBatchPredicate() {
 ///   std::optional<std::string_view> FastStringValue(const Node& n) const;
 ///
 /// An engaged return must be byte-identical to StringValue(n); nullopt
-/// means the node's type is not covered (or the value index is disabled)
-/// and the caller assembles the value as before. This removes the
-/// per-candidate subtree walk from value comparisons — the win that makes
-/// the virtual substrate's non-pushable predicates cheap (assembled-value
-/// columns are built once per vtype, then every compare is a term lookup).
+/// means the node's type is not covered and the caller assembles the value
+/// as before. This removes the per-candidate subtree walk from value
+/// comparisons — the win that makes the virtual substrate's non-pushable
+/// predicates cheap (assembled-value columns are built once per vtype, then
+/// every compare is a term lookup).
 template <typename Adapter>
 constexpr bool AdapterHasFastStringValue() {
   return requires(const Adapter& a, const typename Adapter::Node& n) {

@@ -5,8 +5,8 @@
 /// An ExecContext is owned by one QueryEngine::Execute call (query/engine.h)
 /// and shared by every evaluator frame of that execution, across threads —
 /// counters are atomic, step records are mutex-guarded. A null ExecContext
-/// (the default everywhere) means sequential execution and no accounting,
-/// which keeps the pre-engine call sites zero-cost.
+/// (the default everywhere) means no pool, no counters and no per-query
+/// caches; the evaluators pick the same strategies either way.
 
 #pragma once
 
@@ -56,8 +56,6 @@ struct ExecStats {
   uint64_t mapped_bytes = 0;       ///< bytes of it memory-mapped, not copied
   int threads = 1;                 ///< thread budget the execution ran with
   std::string plan;                ///< "nav" | "indexed" | "bulk" | "virtual"
-  std::string chosen_plan;         ///< "cost:bulk" / "rule:indexed" — how the
-                                   ///< plan was picked (stored substrate only)
   std::vector<StepStats> steps;    ///< per-step timings (top-level path only)
 
   std::string ToString() const;
@@ -79,34 +77,12 @@ class ExecContext {
   common::ThreadPool* pool() const { return pool_; }
   bool collect_stats() const { return collect_stats_; }
 
-  /// \name Virtual merge-join knobs (query/eval_virtual.h)
-  ///
-  /// `virtual_join` gates the vtype-partitioned merge path (ExecOptions
-  /// exposes it so benchmarks can pin the per-candidate baseline);
-  /// `vjoin_min_context` is the context size below which the child /
-  /// parent / ancestor axes keep their sublinear per-node range scans
-  /// (tests set 1 to force merging on tiny documents).
-  /// @{
-  bool virtual_join() const { return virtual_join_; }
-  void set_virtual_join(bool on) { virtual_join_ = on; }
-  size_t vjoin_min_context() const { return vjoin_min_context_; }
-  void set_vjoin_min_context(size_t n) { vjoin_min_context_ = n; }
-  static constexpr size_t kDefaultVJoinMinContext = 16;
-  /// @}
-
-  /// Value-index knob (ExecOptions::use_value_index): when off, value
-  /// predicates run the per-node scan path everywhere — the benchmark and
-  /// property-test baseline the pushdown must match byte-for-byte.
-  bool use_value_index() const { return use_value_index_; }
-  void set_use_value_index(bool on) { use_value_index_ = on; }
-
-  /// Cost-model knob (ExecOptions::use_cost_model): when on, the evaluators
-  /// replace their fixed-threshold decisions (pushdown strategy, merge vs
-  /// walk, predicate ordering) with costed choices from query/cost_model.h,
-  /// including zone-map data skipping. Results are byte-identical either
-  /// way; off is the fixed-heuristics baseline.
-  bool use_cost_model() const { return use_cost_model_; }
-  void set_use_cost_model(bool on) { use_cost_model_ = on; }
+  /// Test pin (query/eval_virtual.h): make the child / parent / ancestor
+  /// axes take the vtype merge join on every context, bypassing the cost
+  /// model's merge-vs-walk choice, so tiny documents exercise the merge.
+  /// Results are identical either way.
+  bool force_vjoin_merge() const { return force_vjoin_merge_; }
+  void set_force_vjoin_merge(bool on) { force_vjoin_merge_ = on; }
 
   /// Per-query cache of uint32 lists keyed by an adapter-chosen string:
   /// node-test -> matching-vtype lists (so repeated steps and every context
@@ -223,10 +199,7 @@ class ExecContext {
  private:
   common::ThreadPool* pool_ = nullptr;
   bool collect_stats_ = false;
-  bool virtual_join_ = true;
-  bool use_value_index_ = true;
-  bool use_cost_model_ = true;
-  size_t vjoin_min_context_ = kDefaultVJoinMinContext;
+  bool force_vjoin_merge_ = false;
   std::atomic<uint64_t> nodes_scanned_{0};
   std::atomic<uint64_t> join_pairs_{0};
   std::atomic<uint64_t> pbn_comparisons_{0};

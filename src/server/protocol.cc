@@ -24,30 +24,6 @@ Status ParseQueryOption(std::string_view token, query::ExecOverrides* out) {
     out->collect_stats = true;
     return Status::OK();
   }
-  if (token == "--virtual-join") {
-    out->virtual_join = true;
-    return Status::OK();
-  }
-  if (token == "--no-virtual-join") {
-    out->virtual_join = false;
-    return Status::OK();
-  }
-  if (token == "--value-index") {
-    out->use_value_index = true;
-    return Status::OK();
-  }
-  if (token == "--no-value-index") {
-    out->use_value_index = false;
-    return Status::OK();
-  }
-  if (token == "--cost-model") {
-    out->use_cost_model = true;
-    return Status::OK();
-  }
-  if (token == "--no-cost-model") {
-    out->use_cost_model = false;
-    return Status::OK();
-  }
   constexpr std::string_view kThreads = "--threads=";
   if (StartsWith(token, kThreads)) {
     std::string arg(token.substr(kThreads.size()));

@@ -16,8 +16,8 @@
 ///
 ///   --threads=N          thread budget (0 = hardware concurrency)
 ///   --stats              attach the full ExecStats object to the response
-///   --virtual-join / --no-virtual-join
-///   --value-index / --no-value-index
+///
+/// Neither option changes the answer.
 ///
 /// Every response is exactly one JSON object on one line, and always leads
 /// with `"code"` — the wire value of query::ErrorCode (0 ok, 1 parse,

@@ -3,9 +3,7 @@
 namespace vpbn::server {
 
 std::string ResultCache::Key(const std::string& doc, const std::string& view,
-                             const std::string& path,
-                             const query::ExecOptions& effective,
-                             uint64_t epoch) {
+                             const std::string& path, uint64_t epoch) {
   // '\x1f' (unit separator) cannot appear in names or paths the protocol
   // accepts, so the concatenation is unambiguous.
   std::string key;
@@ -15,9 +13,6 @@ std::string ResultCache::Key(const std::string& doc, const std::string& view,
   key += view;
   key += '\x1f';
   key += path;
-  key += '\x1f';
-  key += effective.virtual_join ? 'J' : 'j';
-  key += effective.use_value_index ? 'V' : 'v';
   key += '\x1f';
   key += std::to_string(epoch);
   return key;

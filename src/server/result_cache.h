@@ -1,6 +1,6 @@
 /// \file result_cache.h
 /// \brief The vpbnd result cache: finished answers keyed by
-/// (document, view, path, effective options, epoch).
+/// (document, view, path, epoch).
 ///
 /// Layered on the engine's prepared-plan cache: the plan cache skips
 /// parse+plan, this cache skips execution entirely for repeated requests.
@@ -23,8 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "query/engine.h"
-
 namespace vpbn::server {
 
 class ResultCache {
@@ -41,12 +39,11 @@ class ResultCache {
   /// \p capacity 0 disables caching (every Get misses, Put drops).
   explicit ResultCache(size_t capacity) : capacity_(capacity) {}
 
-  /// The canonical cache key. Only result-shaping inputs participate:
-  /// threads and collect_stats change how a query runs, not what it
-  /// returns, so requests differing only in those share an entry.
+  /// The canonical cache key. No QUERY option changes an answer (threads
+  /// and collect_stats change only how a query runs), so options take no
+  /// part and requests differing only in them share an entry.
   static std::string Key(const std::string& doc, const std::string& view,
-                         const std::string& path,
-                         const query::ExecOptions& effective, uint64_t epoch);
+                         const std::string& path, uint64_t epoch);
 
   /// nullptr on miss. Bumps the entry to most-recently-used on hit.
   std::shared_ptr<const Entry> Get(const std::string& key);

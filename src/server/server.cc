@@ -148,6 +148,7 @@ void Server::AcceptLoop() {
 
 void Server::ServeConnection(int fd) {
   std::string buffer;
+  size_t scanned = 0;  // leading bytes of buffer known to hold no newline
   char chunk[4096];
   bool open = true;
   while (open && !stopping_.load(std::memory_order_acquire)) {
@@ -156,7 +157,7 @@ void Server::ServeConnection(int fd) {
     if (n <= 0) break;
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       std::string_view line(buffer.data() + start, nl - start);
       start = nl + 1;
@@ -168,6 +169,16 @@ void Server::ServeConnection(int fd) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (open && buffer.size() > kMaxLineBytes) {
+      metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+      std::string response = CountedResponse(ErrorResponse(Status::ParseError(
+          "request line exceeds " + std::to_string(kMaxLineBytes) +
+          " bytes without a newline")));
+      response += '\n';
+      WriteAll(fd, response);
+      break;
+    }
   }
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -251,10 +262,9 @@ std::string Server::HandleQuery(const Request& req) {
   std::shared_ptr<const query::QueryEngine> engine =
       std::move(engine_result).value();
 
-  const query::ExecOptions effective = engine->EffectiveOptions(req.overrides);
   const std::string key =
-      ResultCache::Key(req.doc, req.view, req.path, effective, entry->epoch);
-  const bool want_stats = effective.collect_stats;
+      ResultCache::Key(req.doc, req.view, req.path, entry->epoch);
+  const bool want_stats = engine->EffectiveOptions(req.overrides).collect_stats;
 
   std::shared_ptr<const ResultCache::Entry> cached = result_cache_.Get(key);
   const bool cache_hit = cached != nullptr;
@@ -272,7 +282,7 @@ std::string Server::HandleQuery(const Request& req) {
     auto fresh = std::make_shared<ResultCache::Entry>();
     fresh->values = engine->StringValues(result);
     fresh->result_nodes = result.size();
-    fresh->plan = query::PlanKindToString(prepared.value().plan());
+    fresh->plan = result.stats().plan;
     fresh->wall_ms = result.stats().wall_ms;
     if (want_stats) stats_json = result.stats().ToJson();
     result_cache_.Put(key, fresh);

@@ -12,7 +12,7 @@
 ///   admission gate (bounded in-flight)  ->  token bucket (rate limit)
 ///   ->  catalog lookup (shared_ptr pins the generation; reloads cannot
 ///       invalidate it mid-query)
-///   ->  result cache probe keyed by (doc, view, path, options, epoch)
+///   ->  result cache probe keyed by (doc, view, path, epoch)
 ///   ->  on miss: engine Prepare (plan cache) + Execute + StringValues,
 ///       then populate the result cache
 ///
@@ -97,6 +97,12 @@ class Server {
 
   /// The bound port (after Start), even when options.port was 0.
   int port() const { return port_; }
+
+  /// Longest unterminated request line a connection may buffer. Past it
+  /// the connection gets one parse error (code 1) and is closed, so a
+  /// client that never sends a newline cannot grow the buffer without
+  /// bound.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
 
   /// Serve one request line (without trailing newline) and return the
   /// one-line JSON response (without trailing newline). Thread-safe; this

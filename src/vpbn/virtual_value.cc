@@ -4,13 +4,12 @@
 
 namespace vpbn::virt {
 
-VirtualValueComputer::VirtualValueComputer(const VirtualDocument& vdoc,
-                                           bool use_value_index)
+VirtualValueComputer::VirtualValueComputer(const VirtualDocument& vdoc)
     : vdoc_(&vdoc) {
   // Intactness is computed once per view by the VirtualDocument.
   intact_.resize(vdoc.vguide().num_vtypes());
   for (vdg::VTypeId t = 0; t < vdoc.vguide().num_vtypes(); ++t) {
-    intact_[t] = use_value_index && vdoc.IsIntactVType(t);
+    intact_[t] = vdoc.IsIntactVType(t);
   }
 }
 

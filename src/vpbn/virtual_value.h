@@ -24,11 +24,8 @@ namespace vpbn::virt {
 /// subtrees.
 class VirtualValueComputer {
  public:
-  /// \p vdoc must outlive the computer. \p use_value_index disables the
-  /// intact-subtree range-copy optimization when false (every node is
-  /// assembled piecewise) — the ablation the A1 benchmark measures.
-  explicit VirtualValueComputer(const VirtualDocument& vdoc,
-                                bool use_value_index = true);
+  /// \p vdoc must outlive the computer.
+  explicit VirtualValueComputer(const VirtualDocument& vdoc);
 
   /// The XML value of virtual node \p v (text nodes yield escaped text,
   /// exactly as stored).

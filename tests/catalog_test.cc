@@ -134,7 +134,7 @@ TEST(CatalogTest, ReloadPublishesNewEpochWithoutDisturbingReaders) {
 TEST(CatalogTest, EngineDefaultsComeFromTheCatalog) {
   query::ExecOptions defaults;
   defaults.threads = 2;
-  defaults.use_value_index = false;
+  defaults.collect_stats = true;
   Catalog catalog(defaults);
   ASSERT_TRUE(catalog.AddDocumentXml("books", kBooksV1).ok());
   ASSERT_TRUE(catalog.AddView("books", "titles", "book { title }").ok());

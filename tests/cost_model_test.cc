@@ -2,8 +2,8 @@
 /// \brief Cost-based planner tests: cardinality estimate accuracy bounds
 /// (the histogram's additive error guarantee, exact string-equality
 /// selectivity, exact structural counts), zone-map admissibility units, the
-/// use_cost_model on/off byte-identity differential at 1/2/8 threads, and
-/// deterministic zone-map data skipping on a clustered column.
+/// costed-engine vs per-node byte-identity differential at 1/2/8 threads,
+/// and deterministic zone-map data skipping on a clustered column.
 
 #include "query/cost_model.h"
 
@@ -22,6 +22,7 @@
 #include "query/eval_nav.h"
 #include "query/path_parser.h"
 #include "storage/stored_document.h"
+#include "tests/per_node_adapter.h"
 #include "tests/test_util.h"
 #include "workload/auctions.h"
 #include "workload/books.h"
@@ -225,9 +226,9 @@ TEST(ZoneMapTest, BlockAdmissibilityMirrorsPredicateSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// The ablation differential: with and without the cost model, at any thread
-// count, results are byte-identical. The knob only moves work, never
-// answers.
+// The differential: whatever plan and strategies the cost model picks, at
+// any thread count, results are byte-identical to one-node-at-a-time
+// evaluation. The cost model only moves work, never answers.
 
 void ExpectCostModelIsPureOptimization(
     storage::StoredDocument stored, const std::vector<std::string>& paths) {
@@ -236,16 +237,12 @@ void ExpectCostModelIsPureOptimization(
   QueryEngine engine(shared);
   for (const std::string& path : paths) {
     SCOPED_TRACE(path);
-    auto baseline = engine.Execute(path, {.use_cost_model = false});
+    auto baseline = testutil::EvalPerNode(*shared, path);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
     for (int threads : {1, 2, 8}) {
-      for (bool cost : {false, true}) {
-        auto r = engine.Execute(
-            path, {.threads = threads, .use_cost_model = cost});
-        ASSERT_TRUE(r.ok()) << r.status();
-        EXPECT_EQ(r->pbn_nodes(), baseline->pbn_nodes())
-            << "threads=" << threads << " cost=" << cost;
-      }
+      auto r = engine.Execute(path, {.threads = threads});
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->pbn_nodes(), *baseline) << "threads=" << threads;
     }
   }
 }
@@ -317,20 +314,15 @@ TEST(ZoneMapTest, ClusteredRangeScanSkipsColdBlocks) {
   auto on = engine.Execute(query, {.collect_stats = true});
   ASSERT_TRUE(on.ok()) << on.status();
   EXPECT_EQ(on->pbn_nodes().size(), 1u);  // only the last chunk survives
-  EXPECT_EQ(on->stats().chosen_plan.rfind("cost:", 0), 0u)
-      << on->stats().chosen_plan;
   EXPECT_GT(on->stats().est_rows, 0u);
   // Chunks 0..6 hold only values < 20000; each contributes 10 zone blocks
   // whose zone_max rules them out. Allow slack for strategy boundaries but
   // demand real skipping.
   EXPECT_GE(on->stats().zone_map_skips, 50u) << on->stats().ToJson();
 
-  auto off = engine.Execute(
-      query, {.collect_stats = true, .use_cost_model = false});
-  ASSERT_TRUE(off.ok()) << off.status();
-  EXPECT_EQ(off->pbn_nodes(), on->pbn_nodes());
-  EXPECT_EQ(off->stats().chosen_plan.rfind("rule:", 0), 0u)
-      << off->stats().chosen_plan;
+  auto per_node = testutil::EvalPerNode(*stored, query);
+  ASSERT_TRUE(per_node.ok()) << per_node.status();
+  EXPECT_EQ(*per_node, on->pbn_nodes());
 }
 
 }  // namespace

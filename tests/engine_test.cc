@@ -223,22 +223,21 @@ TEST(EngineTest, DefaultOptionsMergeUnderOverrides) {
   // Out of the box the defaults are the ExecOptions defaults.
   EXPECT_EQ(engine.EffectiveOptions({}), ExecOptions{});
 
-  engine.SetDefaultOptions(
-      {.threads = 3, .collect_stats = true, .use_value_index = false});
+  engine.SetDefaultOptions({.threads = 3, .collect_stats = true});
   EXPECT_EQ(engine.default_options().threads, 3);
 
   // No overrides: the defaults verbatim.
   ExecOptions eff = engine.EffectiveOptions({});
   EXPECT_EQ(eff.threads, 3);
   EXPECT_TRUE(eff.collect_stats);
-  EXPECT_TRUE(eff.virtual_join);
-  EXPECT_FALSE(eff.use_value_index);
 
   // Each set override replaces its default; unset fields fall through.
-  eff = engine.EffectiveOptions({.threads = 1, .use_value_index = true});
+  eff = engine.EffectiveOptions({.threads = 1});
   EXPECT_EQ(eff.threads, 1);
-  EXPECT_TRUE(eff.collect_stats);   // inherited
-  EXPECT_TRUE(eff.use_value_index); // overridden back on
+  EXPECT_TRUE(eff.collect_stats);  // inherited
+  eff = engine.EffectiveOptions({.collect_stats = false});
+  EXPECT_EQ(eff.threads, 3);  // inherited
+  EXPECT_FALSE(eff.collect_stats);
 
   // Execute actually runs with the merge: defaults say collect_stats.
   auto r = engine.Execute("/data/book[2]/title", {});

@@ -39,15 +39,11 @@ TEST(ProtocolTest, PathKeepsInternalSpaces) {
 }
 
 TEST(ProtocolTest, ParsesQueryOptions) {
-  auto r = ParseRequest(
-      "QUERY books --threads=4 --stats --no-virtual-join --value-index "
-      "//book");
+  auto r = ParseRequest("QUERY books --threads=4 --stats //book");
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_TRUE(r->overrides.threads.has_value());
   EXPECT_EQ(*r->overrides.threads, 4);
   EXPECT_EQ(r->overrides.collect_stats, true);
-  EXPECT_EQ(r->overrides.virtual_join, false);
-  EXPECT_EQ(r->overrides.use_value_index, true);
   EXPECT_EQ(r->path, "//book");
 
   // No options: every override stays unset (falls through to defaults).
@@ -68,6 +64,9 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
            "QUERY books --threads=-1 //b",
            "QUERY books --frobnicate //b",
            "QUERY books --partitions=8 //b",  // removed option
+           "QUERY books --no-value-index //b",   // removed option
+           "QUERY books --no-virtual-join //b",  // removed option
+           "QUERY books --no-cost-model //b",    // removed option
            "QUERY books/ //b",         // empty view
            "QUERY /v //b",             // empty doc
            "QUERY a/b/c //b",          // view with slash

@@ -1,14 +1,12 @@
 /// \file result_cache_test.cc
 /// \brief The server result cache: key composition (doc, view, path,
-/// effective options, epoch), LRU eviction, and hit/miss counters.
+/// epoch), LRU eviction, and hit/miss counters.
 
 #include "server/result_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-
-#include "query/engine.h"
 
 namespace vpbn::server {
 namespace {
@@ -23,65 +21,39 @@ std::shared_ptr<const ResultCache::Entry> MakeEntry(
 
 TEST(ResultCacheTest, HitRequiresEveryKeyComponent) {
   ResultCache cache(8);
-  query::ExecOptions opts;
-  std::string base = ResultCache::Key("books", "", "//title", opts, 1);
+  std::string base = ResultCache::Key("books", "", "//title", 1);
   cache.Put(base, MakeEntry({"a"}));
 
   EXPECT_NE(cache.Get(base), nullptr);
   // Any one component changing misses.
-  EXPECT_EQ(cache.Get(ResultCache::Key("auctions", "", "//title", opts, 1)),
+  EXPECT_EQ(cache.Get(ResultCache::Key("auctions", "", "//title", 1)),
             nullptr);
-  EXPECT_EQ(cache.Get(ResultCache::Key("books", "v", "//title", opts, 1)),
+  EXPECT_EQ(cache.Get(ResultCache::Key("books", "v", "//title", 1)),
             nullptr);
-  EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//price", opts, 1)),
+  EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//price", 1)),
             nullptr);
-  EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//title", opts, 2)),
+  EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//title", 2)),
             nullptr);
-  query::ExecOptions no_join = opts;
-  no_join.virtual_join = !no_join.virtual_join;
-  EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//title", no_join, 1)),
-            nullptr);
-}
-
-TEST(ResultCacheTest, ExecutionShapeOptionsDoNotFragmentTheKey) {
-  // threads and collect_stats change how a result is computed, not what it
-  // is — two requests differing only there share one cache slot.
-  query::ExecOptions a;
-  a.threads = 1;
-  a.collect_stats = false;
-  query::ExecOptions b;
-  b.threads = 4;
-  b.collect_stats = true;
-  EXPECT_EQ(ResultCache::Key("d", "", "//x", a, 3),
-            ResultCache::Key("d", "", "//x", b, 3));
-
-  // Semantics-bearing options do fragment it.
-  query::ExecOptions c = a;
-  c.use_value_index = !c.use_value_index;
-  EXPECT_NE(ResultCache::Key("d", "", "//x", a, 3),
-            ResultCache::Key("d", "", "//x", c, 3));
 }
 
 TEST(ResultCacheTest, EpochChangeIsInvalidationByConstruction) {
   ResultCache cache(8);
-  query::ExecOptions opts;
-  cache.Put(ResultCache::Key("d", "", "//x", opts, 1), MakeEntry({"old"}));
+  cache.Put(ResultCache::Key("d", "", "//x", 1), MakeEntry({"old"}));
 
   // After a reload the server looks up under the new epoch: guaranteed
   // miss, stale entry unreachable.
-  auto stale = cache.Get(ResultCache::Key("d", "", "//x", opts, 2));
+  auto stale = cache.Get(ResultCache::Key("d", "", "//x", 2));
   EXPECT_EQ(stale, nullptr);
-  cache.Put(ResultCache::Key("d", "", "//x", opts, 2), MakeEntry({"new"}));
-  auto fresh = cache.Get(ResultCache::Key("d", "", "//x", opts, 2));
+  cache.Put(ResultCache::Key("d", "", "//x", 2), MakeEntry({"new"}));
+  auto fresh = cache.Get(ResultCache::Key("d", "", "//x", 2));
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->values[0], "new");
 }
 
 TEST(ResultCacheTest, LruEvictsOldestAndRefreshesOnHit) {
   ResultCache cache(2);
-  query::ExecOptions opts;
-  auto key = [&](const char* p) {
-    return ResultCache::Key("d", "", p, opts, 1);
+  auto key = [](const char* p) {
+    return ResultCache::Key("d", "", p, 1);
   };
   cache.Put(key("//a"), MakeEntry({"a"}));
   cache.Put(key("//b"), MakeEntry({"b"}));
@@ -95,8 +67,7 @@ TEST(ResultCacheTest, LruEvictsOldestAndRefreshesOnHit) {
 
 TEST(ResultCacheTest, CountersAndClear) {
   ResultCache cache(4);
-  query::ExecOptions opts;
-  std::string k = ResultCache::Key("d", "", "//x", opts, 1);
+  std::string k = ResultCache::Key("d", "", "//x", 1);
   EXPECT_EQ(cache.Get(k), nullptr);
   cache.Put(k, MakeEntry({"x"}));
   EXPECT_NE(cache.Get(k), nullptr);
@@ -113,8 +84,7 @@ TEST(ResultCacheTest, CountersAndClear) {
 
 TEST(ResultCacheTest, ZeroCapacityDisablesCaching) {
   ResultCache cache(0);
-  query::ExecOptions opts;
-  std::string k = ResultCache::Key("d", "", "//x", opts, 1);
+  std::string k = ResultCache::Key("d", "", "//x", 1);
   cache.Put(k, MakeEntry({"x"}));
   EXPECT_EQ(cache.Get(k), nullptr);
   EXPECT_EQ(cache.size(), 0u);
@@ -124,8 +94,7 @@ TEST(ResultCacheTest, HitsShareTheEntryAcrossHolders) {
   // Entries are shared_ptr<const Entry>: a Clear (or eviction) while a
   // response is being rendered must not free the values under the reader.
   ResultCache cache(4);
-  query::ExecOptions opts;
-  std::string k = ResultCache::Key("d", "", "//x", opts, 1);
+  std::string k = ResultCache::Key("d", "", "//x", 1);
   cache.Put(k, MakeEntry({"long-lived value"}));
   auto held = cache.Get(k);
   ASSERT_NE(held, nullptr);

@@ -1,8 +1,9 @@
 /// \file server_test.cc
 /// \brief The vpbnd server: the transport-free HandleLine dispatch path
 /// (QUERY/LIST/RELOAD/STATS/SHUTDOWN, result-cache behaviour, admission
-/// shedding), one end-to-end TCP exchange, and the reload-under-load stress
-/// that proves epoch-keyed caching never serves a cross-epoch result.
+/// shedding), end-to-end TCP exchanges including the request-line cap, and
+/// the reload-under-load stress that proves epoch-keyed caching never
+/// serves a cross-epoch result.
 
 #include "server/server.h"
 
@@ -12,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -101,11 +103,6 @@ TEST(ServerTest, RepeatQueryHitsTheResultCache) {
   std::string shaped =
       f.server->HandleLine("QUERY books --threads=2 //book/title");
   EXPECT_TRUE(JsonBool(shaped, "cached"));
-
-  // A semantics-bearing option is a different key.
-  std::string other =
-      f.server->HandleLine("QUERY books --no-value-index //book/title");
-  EXPECT_FALSE(JsonBool(other, "cached"));
 }
 
 TEST(ServerTest, StatsOptionAttachesExecStats) {
@@ -118,6 +115,41 @@ TEST(ServerTest, StatsOptionAttachesExecStats) {
   EXPECT_NE(r.find("\"wall_ms\":", stats_pos), std::string::npos);
   EXPECT_NE(r.find("\"result_nodes\":", stats_pos), std::string::npos);
   EXPECT_NE(r.find("\"plan\":", stats_pos), std::string::npos);
+}
+
+/// The string after `"<key>":"` at or after \p from, up to the next quote.
+std::string JsonStr(const std::string& json, const std::string& key,
+                    size_t from = 0) {
+  std::string needle = "\"" + key + "\":\"";
+  size_t pos = json.find(needle, from);
+  EXPECT_NE(pos, std::string::npos) << key << " missing in " << json;
+  if (pos == std::string::npos) return "";
+  pos += needle.size();
+  return json.substr(pos, json.find('"', pos) - pos);
+}
+
+// The response's plan field names the plan that executed. A selective
+// value predicate over wide contexts is where the cost model picks the
+// indexed plan although the path lies in the bulk fragment.
+TEST(ServerTest, PlanFieldIsThePlanThatRan) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 100; ++i) {
+    xml += "<p><v>k" + std::to_string(i) + "</v>";
+    for (int c = 0; c < 100; ++c) xml += "<c/>";
+    xml += "</p>";
+  }
+  xml += "</r>";
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddDocumentXml("d", xml).ok());
+  Server server(&catalog, ServerOptions{});
+
+  std::string r = server.HandleLine("QUERY d --stats //p[v = \"k7\"]/c");
+  ASSERT_EQ(r.rfind("{\"code\":0", 0), 0u) << r;
+  EXPECT_EQ(JsonInt(r, "count"), 100);
+  size_t stats_pos = r.find("\"stats\":{");
+  ASSERT_NE(stats_pos, std::string::npos) << r;
+  EXPECT_EQ(JsonStr(r, "plan"), "indexed") << r;
+  EXPECT_EQ(JsonStr(r, "plan"), JsonStr(r, "plan", stats_pos)) << r;
 }
 
 TEST(ServerTest, ErrorTaxonomyOnTheWire) {
@@ -220,8 +252,7 @@ TEST(ServerTest, ShutdownVerbRequestsShutdown) {
       f.server->WaitForShutdownRequest(std::chrono::milliseconds(1)));
 }
 
-/// One round trip over a real socket: connect, write a line, read a line.
-std::string RoundTrip(int port, const std::string& line) {
+int Connect(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -230,6 +261,12 @@ std::string RoundTrip(int port, const std::string& line) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// One round trip over a real socket: connect, write a line, read a line.
+std::string RoundTrip(int port, const std::string& line) {
+  int fd = Connect(port);
   std::string out = line + "\n";
   EXPECT_EQ(::send(fd, out.data(), out.size(), 0),
             static_cast<ssize_t>(out.size()));
@@ -264,6 +301,41 @@ TEST(ServerTest, ServesQueriesOverTcp) {
   tb.join();
   EXPECT_EQ(a.rfind("{\"code\":0", 0), 0u) << a;
   EXPECT_EQ(b.rfind("{\"code\":0", 0), 0u) << b;
+
+  f.server->Stop();
+}
+
+// A request line that never ends must not grow the connection buffer
+// without bound: one byte past the cap draws a single parse error, then the
+// server hangs up. Other connections are unaffected.
+TEST(ServerTest, OverlongLineIsRejectedAndClosed) {
+  ServerOptions opts;
+  opts.num_workers = 2;
+  ServerFixture f(opts);
+  ASSERT_TRUE(f.server->Start().ok());
+
+  int fd = Connect(f.server->port());
+  const std::string line(Server::kMaxLineBytes + 1, 'x');  // no newline
+  for (size_t sent = 0; sent < line.size();) {
+    ssize_t n = ::send(fd, line.data() + sent, line.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  std::string response;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(response.rfind("{\"code\":1,\"error\":\"parse\"", 0), 0u)
+      << response.substr(0, 200);
+  EXPECT_EQ(std::count(response.begin(), response.end(), '\n'), 1)
+      << response.substr(0, 200);
+  EXPECT_EQ(f.server->metrics().parse_errors.load(), 1u);
+
+  std::string r = RoundTrip(f.server->port(), "QUERY books //book/title");
+  EXPECT_EQ(r.rfind("{\"code\":0", 0), 0u) << r;
+  EXPECT_EQ(JsonInt(r, "count"), 2);
 
   f.server->Stop();
 }

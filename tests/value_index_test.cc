@@ -18,6 +18,7 @@
 #include "query/eval_bulk.h"
 #include "query/eval_indexed.h"
 #include "query/eval_nav.h"
+#include "tests/per_node_adapter.h"
 #include "tests/test_util.h"
 #include "vpbn/virtual_document.h"
 #include "workload/books.h"
@@ -155,11 +156,11 @@ TEST(ValuePredicateDifferentialTest, VirtualAgreesWithItsScanPath) {
   };
   for (const std::string& path : paths) {
     SCOPED_TRACE(path);
-    auto on = engine.Execute(path, {.use_value_index = true});
-    auto off = engine.Execute(path, {.use_value_index = false});
+    auto on = engine.Execute(path);
+    auto per_node = testutil::EvalPerNode(**v, path);
     ASSERT_TRUE(on.ok()) << on.status();
-    ASSERT_TRUE(off.ok()) << off.status();
-    EXPECT_EQ(on->virtual_nodes(), off->virtual_nodes());
+    ASSERT_TRUE(per_node.ok()) << per_node.status();
+    EXPECT_EQ(on->virtual_nodes(), *per_node);
     EXPECT_FALSE(on->virtual_nodes().empty());
   }
 }
@@ -264,16 +265,12 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnStoredDocument) {
 
   for (const std::string& path : paths) {
     SCOPED_TRACE(path);
-    auto baseline = engine.Execute(path, {.use_value_index = false});
+    auto baseline = testutil::EvalPerNode(*stored, path);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
     for (int threads : {1, 2, 8}) {
-      for (bool use_index : {true, false}) {
-        auto r = engine.Execute(
-            path, {.threads = threads, .use_value_index = use_index});
-        ASSERT_TRUE(r.ok()) << r.status();
-        EXPECT_EQ(r->pbn_nodes(), baseline->pbn_nodes())
-            << "threads=" << threads << " use_index=" << use_index;
-      }
+      auto r = engine.Execute(path, {.threads = threads});
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->pbn_nodes(), *baseline) << "threads=" << threads;
     }
   }
 }
@@ -300,36 +297,29 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnVirtualDocument) {
 
   for (const std::string& path : paths) {
     SCOPED_TRACE(path);
-    auto baseline = engine.Execute(path, {.use_value_index = false});
+    auto baseline = testutil::EvalPerNode(**v, path);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
     for (int threads : {1, 2, 8}) {
-      for (bool use_index : {true, false}) {
-        auto r = engine.Execute(
-            path, {.threads = threads, .use_value_index = use_index});
-        ASSERT_TRUE(r.ok()) << r.status();
-        EXPECT_EQ(r->virtual_nodes(), baseline->virtual_nodes())
-            << "threads=" << threads << " use_index=" << use_index;
-      }
+      auto r = engine.Execute(path, {.threads = threads});
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->virtual_nodes(), *baseline) << "threads=" << threads;
     }
   }
 }
 
-// The ablation knob must actually change the execution strategy, not just
-// the answer: with the index on, selective equality touches postings, not
-// per-node scans.
+// The pushdown must actually run, not just agree: selective equality on a
+// covered type touches the index and never falls back to per-node scans.
 TEST(ValueIndexPropertyTest, StatsShowPushdown) {
   xml::Document doc = JunkCatalog(/*seed=*/3, /*num_books=*/500);
   auto stored = std::make_shared<const storage::StoredDocument>(
       storage::StoredDocument::Build(doc));
   QueryEngine engine(stored);
-  auto on = engine.Execute("//book[price = 42]",
-                           {.collect_stats = true, .use_value_index = true});
-  auto off = engine.Execute("//book[price = 42]",
-                            {.collect_stats = true, .use_value_index = false});
-  ASSERT_TRUE(on.ok() && off.ok());
+  auto on = engine.Execute("//book[price = 42]", {.collect_stats = true});
+  auto per_node = testutil::EvalPerNode(*stored, "//book[price = 42]");
+  ASSERT_TRUE(on.ok() && per_node.ok());
   EXPECT_GT(on->stats().value_index_lookups, 0u);
-  EXPECT_EQ(off->stats().value_index_lookups, 0u);
-  EXPECT_EQ(on->pbn_nodes(), off->pbn_nodes());
+  EXPECT_EQ(on->stats().value_scan_fallbacks, 0u);
+  EXPECT_EQ(on->pbn_nodes(), *per_node);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /// \file virtual_join_test.cc
 /// \brief Differential tests for the vtype-partitioned merge joins
 /// (query/eval_virtual.h BatchAxis): the merge path must be byte-identical
-/// to per-candidate predicate evaluation (`virtual_join = false`), across
+/// to per-candidate evaluation (tests/per_node_adapter.h), across
 /// thread counts, including views where ChainSafe fails and the merge
 /// falls back to exact chain expansion; plus direct kernel-vs-predicate
 /// and bitmap-vs-walk cross-checks over >= 10k instance pairs.
@@ -20,6 +20,7 @@
 #include "pbn/packed.h"
 #include "query/engine.h"
 #include "query/eval_virtual.h"
+#include "tests/per_node_adapter.h"
 #include "vpbn/virtual_document.h"
 #include "vpbn/vpbn.h"
 #include "workload/auctions.h"
@@ -35,8 +36,8 @@ virt::VirtualDocument Open(const storage::StoredDocument& stored,
   return std::move(v).ValueUnsafe();
 }
 
-/// Executes \p query with the merge joins off (the per-candidate
-/// baseline), then on at 1/2/8 threads, and requires identical node lists.
+/// Evaluates \p query per candidate (the baseline), then through the
+/// engine at 1/2/8 threads, and requires identical node lists.
 void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
                                const std::vector<std::string>& queries,
                                uint64_t* vjoin_pairs_seen = nullptr) {
@@ -45,16 +46,13 @@ void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
   QueryEngine engine(std::shared_ptr<const virt::VirtualDocument>(
       std::shared_ptr<const void>(), &vdoc));
   for (const std::string& q : queries) {
-    auto base = engine.Execute(q, {.threads = 1,
-                                   .collect_stats = false,
-                                   .virtual_join = false});
+    auto base = testutil::EvalPerNode(vdoc, q);
     ASSERT_TRUE(base.ok()) << q << ": " << base.status();
     for (int threads : {1, 2, 8}) {
-      auto joined = engine.Execute(q, {.threads = threads,
-                                       .collect_stats = true,
-                                       .virtual_join = true});
+      auto joined =
+          engine.Execute(q, {.threads = threads, .collect_stats = true});
       ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
-      ASSERT_TRUE(base->virtual_nodes() == joined->virtual_nodes())
+      ASSERT_TRUE(*base == joined->virtual_nodes())
           << q << " diverges at threads=" << threads << " (baseline "
           << base->size() << " nodes, joined " << joined->size() << ")";
       if (vjoin_pairs_seen != nullptr) {
@@ -64,26 +62,23 @@ void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
   }
 }
 
-/// Same comparison through EvalVirtual directly, with vjoin_min_context
-/// forced to 1 so child/parent/ancestor merges run even on tiny contexts.
+/// Same comparison through EvalVirtual directly, with the merge pinned on
+/// so child/parent/ancestor merges run even on tiny contexts.
 void ExpectForcedJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
                                      const std::vector<std::string>& queries) {
   for (const std::string& q : queries) {
     auto parsed = ParsePath(q);
     ASSERT_TRUE(parsed.ok()) << q;
-    ExecContext base_ctx;
-    base_ctx.set_virtual_join(false);
-    auto base = EvalVirtual(vdoc, *parsed, &base_ctx);
+    auto base = testutil::EvalPerNode(vdoc, q);
     ASSERT_TRUE(base.ok()) << q << ": " << base.status();
     for (int threads : {1, 2, 8}) {
       common::ThreadPool pool(threads);
       ExecContext ctx(threads > 1 ? &pool : nullptr, false);
-      ctx.set_virtual_join(true);
-      ctx.set_vjoin_min_context(1);
+      ctx.set_force_vjoin_merge(true);
       auto joined = EvalVirtual(vdoc, *parsed, &ctx);
       ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
       ASSERT_TRUE(*base == *joined)
-          << q << " diverges at threads=" << threads << " min_context=1";
+          << q << " diverges at threads=" << threads << " (merge forced)";
     }
   }
 }
