@@ -5,6 +5,7 @@
 /// strategies possible — navigation is the no-PBN control.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "query/eval_bulk.h"
@@ -48,27 +49,29 @@ int main() {
       storage::StoredDocument stored = storage::StoredDocument::Build(doc);
       int reps = books <= 1600 ? 7 : 3;
 
-      size_t n_nav = 0, n_idx = 0, n_bulk = 0;
+      // All three return NodeIds of the same tree in document order, so
+      // the answers compare node for node.
+      std::vector<xml::NodeId> nav, idx, bulk;
       double nav_ms = bench::MedianMs(reps, [&] {
         auto r = query::EvalNav(doc, q);
-        n_nav = r.ok() ? r->size() : 0;
+        nav = r.ok() ? std::move(*r) : std::vector<xml::NodeId>{};
       });
       double idx_ms = bench::MedianMs(reps, [&] {
         auto r = query::EvalIndexed(stored, q);
-        n_idx = r.ok() ? r->size() : 0;
+        idx = r.ok() ? std::move(*r) : std::vector<xml::NodeId>{};
       });
       double bulk_ms = bench::MedianMs(reps, [&] {
         auto r = query::EvalBulk(stored, q);
-        n_bulk = r.ok() ? r->size() : 0;
+        bulk = r.ok() ? std::move(*r) : std::vector<xml::NodeId>{};
       });
-      if (n_nav != n_idx || n_idx != n_bulk) {
+      if (nav != idx || idx != bulk) {
         std::fprintf(stderr, "MISMATCH on %s at %d books: %zu/%zu/%zu\n", q,
-                     books, n_nav, n_idx, n_bulk);
+                     books, nav.size(), idx.size(), bulk.size());
         return 1;
       }
       table.AddRow({std::to_string(books), Fmt(nav_ms), Fmt(idx_ms),
                     Fmt(bulk_ms), Fmt(nav_ms / bulk_ms, 1) + "x",
-                    std::to_string(n_bulk)});
+                    std::to_string(bulk.size())});
     }
     table.Print();
     std::printf("\n");

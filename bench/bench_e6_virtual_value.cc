@@ -77,7 +77,7 @@ BENCHMARK(BM_VirtualValue)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 /// index (a single memcpy-scale substring).
 void BM_PhysicalValueIndexLookup(benchmark::State& state) {
   Setup* s = Setup::Get();
-  const num::Pbn root{1};
+  const xml::NodeId root = s->stored.doc().roots()[0];
   for (auto _ : state) {
     auto v = s->stored.Value(root);
     benchmark::DoNotOptimize(v);

@@ -52,8 +52,11 @@ int main() {
   std::cout << "\nPBN numbers of the <book> elements:\n";
   dg::TypeId book =
       stored->dataguide().FindByPath("library.shelf.book").value();
-  for (const num::Pbn& pbn : stored->NodesOfType(book)) {
-    std::cout << "  " << pbn << "  value: " << *stored->Value(pbn) << "\n";
+  const num::PackedPbnList& numbers = stored->PackedNodesOfType(book);
+  const std::vector<xml::NodeId>& books = stored->NodeIdsOfType(book);
+  for (size_t row = 0; row < books.size(); ++row) {
+    std::cout << "  " << numbers.Materialize(row)
+              << "  value: " << stored->Value(books[row]) << "\n";
   }
 
   // 3. Sketch a *virtual hierarchy*: titles at the top, each containing the

@@ -5,7 +5,6 @@ namespace vpbn::num {
 Numbering Numbering::Number(const xml::Document& doc) {
   Numbering out;
   out.numbers_.resize(doc.num_nodes());
-  out.by_pbn_.reserve(doc.num_nodes());
 
   // Iterative pre-order walk carrying the parent's number.
   struct Frame {
@@ -26,7 +25,6 @@ Numbering Numbering::Number(const xml::Document& doc) {
     Pbn number = f.parent_pbn->Child(f.ordinal);
     out.numbers_[f.node] = std::move(number);
     const Pbn* self = &out.numbers_[f.node];
-    out.by_pbn_.emplace(*self, f.node);
     std::vector<xml::NodeId> kids = doc.Children(f.node);
     for (size_t i = kids.size(); i > 0; --i) {
       stack.push_back({kids[i - 1], static_cast<uint32_t>(i), self});
@@ -38,19 +36,7 @@ Numbering Numbering::Number(const xml::Document& doc) {
 Numbering Numbering::FromNumbers(std::vector<Pbn> numbers) {
   Numbering out;
   out.numbers_ = std::move(numbers);
-  out.by_pbn_.reserve(out.numbers_.size());
-  for (size_t id = 0; id < out.numbers_.size(); ++id) {
-    out.by_pbn_.emplace(out.numbers_[id], static_cast<xml::NodeId>(id));
-  }
   return out;
-}
-
-Result<xml::NodeId> Numbering::NodeOf(const Pbn& pbn) const {
-  auto it = by_pbn_.find(pbn);
-  if (it == by_pbn_.end()) {
-    return Status::NotFound("no node numbered " + pbn.ToString());
-  }
-  return it->second;
 }
 
 size_t Numbering::NumbersMemoryUsage() const {

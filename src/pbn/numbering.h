@@ -1,18 +1,18 @@
 /// \file numbering.h
 /// \brief Assigning PBN numbers to every node of a Document.
 ///
-/// A Numbering is the bidirectional map NodeId <-> Pbn for one document.
-/// Renumbering a document after a physical transformation — the expensive
-/// operation the paper's virtual approach avoids (§4.3) — is just building a
-/// fresh Numbering, so the baseline cost in the benchmarks is exactly this
-/// class's constructor.
+/// A Numbering is the NodeId -> Pbn column for one document. Renumbering a
+/// document after a physical transformation — the expensive operation the
+/// paper's virtual approach avoids (§4.3) — is just building a fresh
+/// Numbering, so the baseline cost in the benchmarks is exactly this
+/// class's constructor. There is no Pbn -> NodeId direction: the stored
+/// substrate finds a number's node by its (type, row) position in the
+/// packed type index (storage/stored_document.h).
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
-#include "common/result.h"
 #include "pbn/pbn.h"
 #include "xml/document.h"
 
@@ -25,39 +25,23 @@ class Numbering {
   /// its parent's number with its 1-based sibling ordinal.
   static Numbering Number(const xml::Document& doc);
 
-  /// Rebuild a Numbering from an already-computed NodeId -> Pbn column (the
-  /// snapshot restore path; the reverse index is re-derived). Duplicate
-  /// numbers collapse in the reverse index — callers that need to reject
-  /// them compare reverse_index_size() against size().
+  /// Wrap an already-computed NodeId -> Pbn column (the snapshot restore
+  /// path).
   static Numbering FromNumbers(std::vector<Pbn> numbers);
 
   /// The number of node \p id.
   const Pbn& OfNode(xml::NodeId id) const { return numbers_[id]; }
 
-  /// The node with number \p pbn, or NotFound.
-  Result<xml::NodeId> NodeOf(const Pbn& pbn) const;
-
-  /// True iff \p pbn numbers some node of the document.
-  bool Contains(const Pbn& pbn) const {
-    return by_pbn_.find(pbn) != by_pbn_.end();
-  }
-
   size_t size() const { return numbers_.size(); }
-
-  /// Entries in the reverse (Pbn -> NodeId) index; equals size() exactly
-  /// when every number is distinct.
-  size_t reverse_index_size() const { return by_pbn_.size(); }
 
   /// All numbers, indexed by NodeId.
   const std::vector<Pbn>& numbers() const { return numbers_; }
 
-  /// Total heap bytes held by the numbers (E5 space accounting; excludes
-  /// the reverse index, which is an optional structure).
+  /// Total heap bytes held by the numbers (E5 space accounting).
   size_t NumbersMemoryUsage() const;
 
  private:
   std::vector<Pbn> numbers_;
-  std::unordered_map<Pbn, xml::NodeId, PbnHash> by_pbn_;
 };
 
 }  // namespace vpbn::num

@@ -269,13 +269,13 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
       break;
     }
     case PlanKind::kBulk: {
-      VPBN_ASSIGN_OR_RETURN(std::vector<num::Pbn> nodes,
+      VPBN_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
                             EvalBulk(*stored_, query.path(), &ctx));
       result.nodes_ = std::move(nodes);
       break;
     }
     case PlanKind::kIndexed: {
-      VPBN_ASSIGN_OR_RETURN(std::vector<num::Pbn> nodes,
+      VPBN_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
                             EvalIndexed(*stored_, query.path(), &ctx));
       result.nodes_ = std::move(nodes);
       break;
@@ -342,18 +342,11 @@ std::vector<std::string_view> QueryEngine::StringValueViews(
   std::vector<std::string_view> out;
   out.reserve(result.size());
   if (doc_ != nullptr) {
-    for (xml::NodeId id : result.nav_nodes()) {
+    for (xml::NodeId id : result.node_ids()) {
       out.push_back(owned->emplace_back(doc_->StringValue(id)));
     }
   } else if (stored_ != nullptr) {
-    for (const num::Pbn& p : result.pbn_nodes()) {
-      auto value = stored_->Value(p);
-      if (value.ok()) {
-        out.push_back(*value);
-      } else {
-        out.push_back(std::string_view());
-      }
-    }
+    for (xml::NodeId id : result.node_ids()) out.push_back(stored_->Value(id));
   } else {
     virt::VirtualValueComputer values(*vdoc_);
     for (const virt::VirtualNode& n : result.virtual_nodes()) {

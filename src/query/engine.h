@@ -140,7 +140,6 @@ struct ExecOverrides {
 class QueryResult {
  public:
   using NodeList = std::variant<std::vector<xml::NodeId>,
-                                std::vector<num::Pbn>,
                                 std::vector<virt::VirtualNode>>;
 
   size_t size() const;
@@ -150,14 +149,12 @@ class QueryResult {
   const NodeList& nodes() const { return nodes_; }
 
   /// \name Typed access — call the accessor matching the engine's substrate
-  /// (nav for Document, pbn for StoredDocument, virtual_nodes for
-  /// VirtualDocument). Calling the wrong one is a contract violation.
+  /// (node_ids for Document and StoredDocument, which share NodeIds;
+  /// virtual_nodes for VirtualDocument). Calling the wrong one is a
+  /// contract violation.
   /// @{
-  const std::vector<xml::NodeId>& nav_nodes() const {
+  const std::vector<xml::NodeId>& node_ids() const {
     return std::get<std::vector<xml::NodeId>>(nodes_);
-  }
-  const std::vector<num::Pbn>& pbn_nodes() const {
-    return std::get<std::vector<num::Pbn>>(nodes_);
   }
   const std::vector<virt::VirtualNode>& virtual_nodes() const {
     return std::get<std::vector<virt::VirtualNode>>(nodes_);

@@ -8,7 +8,7 @@
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
 #include "query/cost_model.h"
-#include "query/eval_indexed.h"
+#include "query/evaluator.h"
 #include "query/value_pushdown.h"
 
 namespace vpbn::query {
@@ -16,12 +16,12 @@ namespace vpbn::query {
 namespace {
 
 using num::PackedPbnList;
-using num::Pbn;
+using xml::NodeId;
 
 /// Surviving instances per type. The lists stay packed (one arena per
 /// type-list, pbn/codec.h ordered encoding) end to end: joins, semi-joins
-/// and merges all run over arena bytes, and heap Pbns exist only in the
-/// final materialized result.
+/// and merges all run over arena bytes, and only the final result maps
+/// rows to NodeIds.
 using State = std::map<dg::TypeId, PackedPbnList>;
 
 /// Per-type predicate filtering fans out on the pool only when the
@@ -568,12 +568,76 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
   return state;
 }
 
+/// The surviving per-type lists as NodeIds in document order. Each list is
+/// a sorted subset of its type's full arena, so LowerBound there finds each
+/// survivor's row, and the row's NodeId comes from the aligned column. The
+/// per-type runs are then merged on their packed numbers: every run is
+/// sorted and no node belongs to two types, so a heap over the run heads
+/// emits document order in O(n log k) for k runs (a `//*` result has one
+/// run per type).
+std::vector<NodeId> InDocumentOrder(const storage::StoredDocument& stored,
+                                    const State& state) {
+  struct Run {
+    const PackedPbnList* numbers;
+    std::vector<NodeId> ids;  // aligned with *numbers
+  };
+  std::vector<Run> runs;
+  runs.reserve(state.size());
+  size_t total = 0;
+  for (const auto& [t, list] : state) {
+    if (list.empty()) continue;
+    const PackedPbnList& full = stored.PackedNodesOfType(t);
+    const std::vector<NodeId>& all_ids = stored.NodeIdsOfType(t);
+    Run run{&list, {}};
+    if (list.size() == full.size()) {
+      run.ids = all_ids;  // every instance survived
+    } else {
+      run.ids.reserve(list.size());
+      for (size_t i = 0; i < list.size(); ++i) {
+        run.ids.push_back(all_ids[full.LowerBound(list[i])]);
+      }
+    }
+    total += list.size();
+    runs.push_back(std::move(run));
+  }
+  if (runs.size() == 1) return std::move(runs[0].ids);
+
+  struct Head {
+    num::PackedPbnRef number;
+    uint32_t run;
+    uint32_t pos;
+  };
+  // std::*_heap keep the greatest element on top; invert for a min-heap.
+  auto after = [](const Head& a, const Head& b) { return b.number < a.number; };
+  std::vector<Head> heap;
+  heap.reserve(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    heap.push_back({(*runs[r].numbers)[0], static_cast<uint32_t>(r), 0});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  std::vector<NodeId> out;
+  out.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Head& h = heap.back();
+    const Run& run = runs[h.run];
+    out.push_back(run.ids[h.pos]);
+    if (++h.pos < run.ids.size()) {
+      h.number = (*run.numbers)[h.pos];
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 bool InBulkFragment(const Path& path) { return InFragment(path); }
 
-Result<std::vector<Pbn>> EvalBulk(const storage::StoredDocument& stored,
-                                  const Path& path, ExecContext* ctx) {
+Result<std::vector<NodeId>> EvalBulk(const storage::StoredDocument& stored,
+                                     const Path& path, ExecContext* ctx) {
   if (!InFragment(path)) {
     return Status::NotImplemented(
         "bulk evaluation supports child/descendant chains with existence "
@@ -581,35 +645,13 @@ Result<std::vector<Pbn>> EvalBulk(const storage::StoredDocument& stored,
   }
   State state =
       EvalChain(stored, path, 0, State(), /*from_document=*/true, ctx);
-  std::vector<Pbn> out;
-  for (auto& [t, list] : state) {
-    for (size_t i = 0; i < list.size(); ++i) {
-      out.push_back(list.Materialize(i));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return InDocumentOrder(stored, state);
 }
 
-Result<std::vector<Pbn>> EvalBulk(const storage::StoredDocument& stored,
-                                  std::string_view path_text) {
+Result<std::vector<NodeId>> EvalBulk(const storage::StoredDocument& stored,
+                                     std::string_view path_text) {
   VPBN_ASSIGN_OR_RETURN(Path path, ParsePath(path_text));
   return EvalBulk(stored, path);
-}
-
-Result<std::vector<Pbn>> EvalBulkOrIndexed(
-    const storage::StoredDocument& stored, const Path& path,
-    ExecContext* ctx) {
-  auto bulk = EvalBulk(stored, path, ctx);
-  if (bulk.ok() || !bulk.status().IsNotImplemented()) return bulk;
-  return EvalIndexed(stored, path, ctx);
-}
-
-Result<std::vector<Pbn>> EvalBulkOrIndexed(
-    const storage::StoredDocument& stored, std::string_view path_text) {
-  VPBN_ASSIGN_OR_RETURN(Path path, ParsePath(path_text));
-  return EvalBulkOrIndexed(stored, path);
 }
 
 }  // namespace vpbn::query

@@ -17,8 +17,8 @@
 ///
 /// Supported fragment: absolute paths of child/descendant steps with
 /// name/wildcard/text tests and *existence* predicates that are themselves
-/// such paths. Everything else returns NotImplemented — callers fall back
-/// to EvalIndexed (which EvalBulkOrIndexed automates).
+/// such paths. Everything else returns NotImplemented; QueryEngine plans
+/// those paths on EvalIndexed.
 
 #pragma once
 
@@ -38,25 +38,17 @@ namespace vpbn::query {
 /// Prepare time instead of probing with a NotImplemented round trip.
 bool InBulkFragment(const Path& path);
 
-/// \brief Evaluate \p path set-at-a-time. NotImplemented if the path uses
-/// features outside the join fragment. \p ctx (optional) supplies a thread
-/// pool — structural joins are chunk-partitioned and predicate semi-joins
-/// fan out per surviving type — and collects ExecStats.
-Result<std::vector<num::Pbn>> EvalBulk(const storage::StoredDocument& stored,
-                                       const Path& path,
-                                       ExecContext* ctx = nullptr);
-
-/// \brief Parse and evaluate.
-Result<std::vector<num::Pbn>> EvalBulk(const storage::StoredDocument& stored,
-                                       std::string_view path_text);
-
-/// \brief EvalBulk when the fragment allows, else EvalIndexed.
-Result<std::vector<num::Pbn>> EvalBulkOrIndexed(
+/// \brief Evaluate \p path set-at-a-time. The result is NodeIds in document
+/// order. NotImplemented if the path uses features outside the join
+/// fragment. \p ctx (optional) supplies a thread pool — structural joins are
+/// chunk-partitioned and predicate semi-joins fan out per surviving type —
+/// and collects ExecStats.
+Result<std::vector<xml::NodeId>> EvalBulk(
     const storage::StoredDocument& stored, const Path& path,
     ExecContext* ctx = nullptr);
 
-/// \brief Parse, then EvalBulk when the fragment allows, else EvalIndexed.
-Result<std::vector<num::Pbn>> EvalBulkOrIndexed(
+/// \brief Parse and evaluate.
+Result<std::vector<xml::NodeId>> EvalBulk(
     const storage::StoredDocument& stored, std::string_view path_text);
 
 }  // namespace vpbn::query

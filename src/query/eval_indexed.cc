@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <string>
 
-#include "pbn/codec.h"
 #include "pbn/packed.h"
 #include "query/cost_model.h"
 
 namespace vpbn::query {
 
-using num::Pbn;
+using xml::NodeId;
 
 bool IndexedAdapter::TypeMatches(dg::TypeId t, const NodeTest& test) const {
   const dg::DataGuide& g = stored_->dataguide();
@@ -26,36 +25,46 @@ std::vector<dg::TypeId> IndexedAdapter::MatchingTypes(
   return out;
 }
 
-dg::TypeId IndexedAdapter::TypeOf(const Pbn& n) const {
-  return stored_->TypeOfNode(stored_->numbering().NodeOf(n).value());
+num::PackedPbnRef IndexedAdapter::NumberOf(NodeId n) const {
+  return stored_->PackedNodesOfType(stored_->TypeOfNode(n))[
+      stored_->RowOfNode(n)];
 }
 
-std::vector<Pbn> IndexedAdapter::DocumentRoots(const NodeTest& test) const {
-  std::vector<Pbn> out;
+std::vector<NodeId> IndexedAdapter::DocumentRoots(const NodeTest& test) const {
+  std::vector<NodeId> out;
   const dg::DataGuide& g = stored_->dataguide();
   for (dg::TypeId rt : g.roots()) {
     if (!TypeMatches(rt, test)) continue;
-    const auto& nodes = stored_->NodesOfType(rt);
-    out.insert(out.end(), nodes.begin(), nodes.end());
+    const std::vector<NodeId>& ids = stored_->NodeIdsOfType(rt);
+    out.insert(out.end(), ids.begin(), ids.end());
   }
   return out;
 }
 
-std::vector<Pbn> IndexedAdapter::AllNodes(const NodeTest& test) const {
-  std::vector<Pbn> out;
+std::vector<NodeId> IndexedAdapter::AllNodes(const NodeTest& test) const {
+  std::vector<NodeId> out;
   for (dg::TypeId t : MatchingTypes(test)) {
-    const auto& nodes = stored_->NodesOfType(t);
-    out.insert(out.end(), nodes.begin(), nodes.end());
+    const std::vector<NodeId>& ids = stored_->NodeIdsOfType(t);
+    out.insert(out.end(), ids.begin(), ids.end());
   }
   return out;
 }
 
-std::vector<Pbn> IndexedAdapter::Axis(const Pbn& n, num::Axis axis,
-                                      const NodeTest& test) const {
+std::vector<NodeId> IndexedAdapter::Axis(const NodeId& n, num::Axis axis,
+                                         const NodeTest& test) const {
   using num::Axis;
   const dg::DataGuide& g = stored_->dataguide();
-  dg::TypeId nt = TypeOf(n);
-  std::vector<Pbn> out;
+  const xml::Document& doc = stored_->doc();
+  const dg::TypeId nt = stored_->TypeOfNode(n);
+  const num::PackedPbnRef self = NumberOf(n);
+  std::vector<NodeId> out;
+  // The instances of type t inside n's subtree: one slice of the type's
+  // NodeId column, found by a containment range scan on its arena.
+  auto append_within = [&](dg::TypeId t) {
+    auto [first, last] = stored_->TypeRangeWithin(t, self);
+    const std::vector<NodeId>& ids = stored_->NodeIdsOfType(t);
+    out.insert(out.end(), ids.begin() + first, ids.begin() + last);
+  };
   switch (axis) {
     case Axis::kSelf:
       if (TypeMatches(nt, test)) out.push_back(n);
@@ -64,99 +73,96 @@ std::vector<Pbn> IndexedAdapter::Axis(const Pbn& n, num::Axis axis,
       // Candidate types are the DataGuide children; every instance inside
       // the subtree is a child (its depth is ours + 1).
       for (dg::TypeId ct : g.children(nt)) {
-        if (!TypeMatches(ct, test)) continue;
-        for (Pbn& p : stored_->NodesOfTypeWithin(ct, n)) {
-          out.push_back(std::move(p));
-        }
+        if (TypeMatches(ct, test)) append_within(ct);
       }
       break;
     case Axis::kDescendant:
-    case Axis::kDescendantOrSelf: {
+    case Axis::kDescendantOrSelf:
       if (axis == Axis::kDescendantOrSelf && TypeMatches(nt, test)) {
         out.push_back(n);
       }
       for (dg::TypeId dt : g.DescendantTypes(nt)) {
-        if (!TypeMatches(dt, test)) continue;
-        for (Pbn& p : stored_->NodesOfTypeWithin(dt, n)) {
-          out.push_back(std::move(p));
-        }
+        if (TypeMatches(dt, test)) append_within(dt);
+      }
+      break;
+    case Axis::kParent: {
+      const NodeId p = doc.parent(n);
+      if (p != xml::kNullNode && TypeMatches(g.parent(nt), test)) {
+        out.push_back(p);
       }
       break;
     }
-    case Axis::kParent:
-      if (n.length() > 1) {
-        Pbn parent = n.Parent();
-        if (TypeMatches(g.parent(nt), test)) out.push_back(std::move(parent));
-      }
-      break;
     case Axis::kAncestor:
-    case Axis::kAncestorOrSelf: {
+    case Axis::kAncestorOrSelf:
       if (axis == Axis::kAncestorOrSelf && TypeMatches(nt, test)) {
         out.push_back(n);
       }
-      dg::TypeId t = g.parent(nt);
-      for (size_t len = n.length() - 1; len >= 1; --len) {
-        if (TypeMatches(t, test)) out.push_back(n.Prefix(len));
-        t = g.parent(t);
+      for (NodeId p = doc.parent(n); p != xml::kNullNode; p = doc.parent(p)) {
+        if (TypeMatches(stored_->TypeOfNode(p), test)) out.push_back(p);
       }
       break;
-    }
     case Axis::kFollowing:
     case Axis::kPreceding:
     case Axis::kFollowingSibling:
-    case Axis::kPrecedingSibling: {
+    case Axis::kPrecedingSibling:
       // Number-comparison scan over the packed arenas of matching types:
-      // the context number is encoded once and every axis decision is a
-      // memcmp against arena bytes; only hits materialize a Pbn.
-      std::string encoded;
-      num::EncodeOrdered(n, &encoded);
-      num::PackedPbnRef nref(encoded.data(),
-                             static_cast<uint32_t>(encoded.size()),
-                             static_cast<uint32_t>(n.length()));
+      // every axis decision is a memcmp against arena bytes, and hits read
+      // their NodeId from the aligned column.
       for (dg::TypeId t : MatchingTypes(test)) {
         const num::PackedPbnList& all = stored_->PackedNodesOfType(t);
+        const std::vector<NodeId>& ids = stored_->NodeIdsOfType(t);
         for (size_t i = 0; i < all.size(); ++i) {
-          if (num::PackedCheckAxis(axis, all[i], nref)) {
-            out.push_back(all.Materialize(i));
-          }
+          if (num::PackedCheckAxis(axis, all[i], self)) out.push_back(ids[i]);
         }
       }
       break;
-    }
     case Axis::kAttribute:
       break;
   }
   return out;
 }
 
-void IndexedAdapter::SortUnique(std::vector<Pbn>* nodes) const {
-  std::sort(nodes->begin(), nodes->end());
-  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
+void IndexedAdapter::SortUnique(std::vector<NodeId>* nodes) const {
+  if (nodes->size() < 2) return;
+  // NodeIds need not follow document order (a builder may attach children
+  // to earlier parents), so order by packed number. Equal numbers are the
+  // same node, so duplicates end up adjacent.
+  std::vector<std::pair<num::PackedPbnRef, NodeId>> keyed;
+  keyed.reserve(nodes->size());
+  for (NodeId id : *nodes) keyed.emplace_back(NumberOf(id), id);
+  auto less = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(keyed.begin(), keyed.end(), less)) {
+    std::sort(keyed.begin(), keyed.end(), less);
+  }
+  nodes->clear();
+  for (const auto& entry : keyed) {
+    if (nodes->empty() || nodes->back() != entry.second) {
+      nodes->push_back(entry.second);
+    }
+  }
 }
 
-std::string IndexedAdapter::StringValue(const Pbn& n) const {
-  return stored_->doc().StringValue(stored_->numbering().NodeOf(n).value());
+std::string IndexedAdapter::StringValue(const NodeId& n) const {
+  return stored_->doc().StringValue(n);
 }
 
 std::optional<std::string_view> IndexedAdapter::FastStringValue(
-    const Pbn& n) const {
-  xml::NodeId id = stored_->numbering().NodeOf(n).value();
+    const NodeId& n) const {
   const idx::TypeColumn* col =
-      stored_->value_index().Column(stored_->TypeOfNode(id));
+      stored_->value_index().Column(stored_->TypeOfNode(n));
   if (col == nullptr) return std::nullopt;
   if (ctx_ != nullptr) ctx_->CountValueIndexLookups(1);
-  return col->dict->term(col->term_ids[stored_->RowOfNode(id)]);
+  return col->dict->term(col->term_ids[stored_->RowOfNode(n)]);
 }
 
 /// One context-type slice of a BatchPredicate call: the indexes into the
-/// context list whose nodes have this type, with their scopes pre-encoded
-/// for the packed range scans.
+/// context list whose nodes have this type, with their packed numbers (the
+/// scopes of the range scans).
 struct IndexedAdapter::BatchGroup {
   dg::TypeId type = dg::kNullType;
   std::vector<size_t> indexes;          // into the context node list
-  std::vector<xml::NodeId> ids;         // aligned with indexes
-  std::vector<num::PackedPbnRef> refs;  // aligned; views into `encodings`
-  std::vector<std::string> encodings;
+  std::vector<NodeId> ids;              // aligned with indexes
+  std::vector<num::PackedPbnRef> refs;  // aligned; views into the arena
 };
 
 bool IndexedAdapter::CanPushPredicate(
@@ -395,15 +401,13 @@ void IndexedAdapter::EvalBatchPredicate(const Expr& e,
 }
 
 bool IndexedAdapter::BatchPredicate(const Expr& pred,
-                                    const std::vector<Pbn>& nodes,
+                                    const std::vector<NodeId>& nodes,
                                     std::vector<char>* keep) const {
   if (nodes.empty()) return false;
 
-  std::vector<xml::NodeId> ids(nodes.size());
   std::vector<dg::TypeId> types(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    ids[i] = stored_->numbering().NodeOf(nodes[i]).value();
-    types[i] = stored_->TypeOfNode(ids[i]);
+    types[i] = stored_->TypeOfNode(nodes[i]);
   }
   std::vector<dg::TypeId> distinct = types;
   std::sort(distinct.begin(), distinct.end());
@@ -417,20 +421,8 @@ bool IndexedAdapter::BatchPredicate(const Expr& pred,
     size_t g = std::lower_bound(distinct.begin(), distinct.end(), types[i]) -
                distinct.begin();
     groups[g].indexes.push_back(i);
-    groups[g].ids.push_back(ids[i]);
-  }
-  // Encode every scope once; refs are views into the encodings, which must
-  // not reallocate afterwards.
-  for (BatchGroup& group : groups) {
-    group.encodings.resize(group.indexes.size());
-    group.refs.reserve(group.indexes.size());
-    for (size_t k = 0; k < group.indexes.size(); ++k) {
-      const Pbn& n = nodes[group.indexes[k]];
-      num::EncodeOrdered(n, &group.encodings[k]);
-      group.refs.emplace_back(group.encodings[k].data(),
-                              static_cast<uint32_t>(group.encodings[k].size()),
-                              static_cast<uint32_t>(n.length()));
-    }
+    groups[g].ids.push_back(nodes[i]);
+    groups[g].refs.push_back(NumberOf(nodes[i]));
   }
 
   keep->assign(nodes.size(), 0);
@@ -438,23 +430,22 @@ bool IndexedAdapter::BatchPredicate(const Expr& pred,
   return true;
 }
 
-Result<std::string> IndexedAdapter::Attribute(const Pbn& n,
+Result<std::string> IndexedAdapter::Attribute(const NodeId& n,
                                               const std::string& name) const {
-  VPBN_ASSIGN_OR_RETURN(xml::NodeId id, stored_->numbering().NodeOf(n));
-  if (!stored_->doc().IsElement(id)) {
+  if (!stored_->doc().IsElement(n)) {
     return Status::NotFound("text node has no attributes");
   }
-  return stored_->doc().AttributeValue(id, name);
+  return stored_->doc().AttributeValue(n, name);
 }
 
-Result<std::vector<Pbn>> EvalIndexed(const storage::StoredDocument& stored,
-                                     std::string_view path_text) {
+Result<std::vector<NodeId>> EvalIndexed(const storage::StoredDocument& stored,
+                                        std::string_view path_text) {
   VPBN_ASSIGN_OR_RETURN(Path path, ParsePath(path_text));
   return EvalIndexed(stored, path);
 }
 
-Result<std::vector<Pbn>> EvalIndexed(const storage::StoredDocument& stored,
-                                     const Path& path, ExecContext* ctx) {
+Result<std::vector<NodeId>> EvalIndexed(const storage::StoredDocument& stored,
+                                        const Path& path, ExecContext* ctx) {
   IndexedAdapter adapter(stored, ctx);
   PathEvaluator<IndexedAdapter> evaluator(adapter, ctx);
   return evaluator.Eval(path);

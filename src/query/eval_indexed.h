@@ -7,6 +7,10 @@
 /// scans (binary search on the ordered per-type PBN lists); the remaining
 /// axes are decided by pure number comparison (pbn/axis.h). This is the
 /// query machinery whose virtual twin (eval_virtual.h) the paper builds.
+///
+/// Node handles are NodeIds, shared with the Document. A node's number is
+/// its row in its type's packed arena, so no step encodes or hashes a Pbn,
+/// and results render straight from the value index's byte ranges.
 
 #pragma once
 
@@ -24,10 +28,10 @@
 namespace vpbn::query {
 
 /// \brief Adapter over a StoredDocument for PathEvaluator. Node handles are
-/// PBN numbers.
+/// NodeIds; document order is the order of their packed numbers.
 class IndexedAdapter {
  public:
-  using Node = num::Pbn;
+  using Node = xml::NodeId;
 
   /// StoredDocument is fully immutable after Build (indexes included), so
   /// the const interface is safe for concurrent use.
@@ -67,7 +71,8 @@ class IndexedAdapter {
 
   bool TypeMatches(dg::TypeId t, const NodeTest& test) const;
   std::vector<dg::TypeId> MatchingTypes(const NodeTest& test) const;
-  dg::TypeId TypeOf(const Node& n) const;
+  /// The packed number of \p n: a view into its type's arena.
+  num::PackedPbnRef NumberOf(Node n) const;
 
   bool CanPushPredicate(const Expr& e,
                         const std::vector<dg::TypeId>& context_types) const;
@@ -80,12 +85,13 @@ class IndexedAdapter {
 };
 
 /// \brief Parse and evaluate \p path_text over the stored document.
-Result<std::vector<num::Pbn>> EvalIndexed(
+Result<std::vector<xml::NodeId>> EvalIndexed(
     const storage::StoredDocument& stored, std::string_view path_text);
 
-/// \brief Evaluate a pre-parsed path. \p ctx (optional) supplies a thread
-/// pool and collects ExecStats (see query/engine.h).
-Result<std::vector<num::Pbn>> EvalIndexed(
+/// \brief Evaluate a pre-parsed path. The result is in document order. \p
+/// ctx (optional) supplies a thread pool and collects ExecStats (see
+/// query/engine.h).
+Result<std::vector<xml::NodeId>> EvalIndexed(
     const storage::StoredDocument& stored, const Path& path,
     ExecContext* ctx = nullptr);
 

@@ -661,7 +661,6 @@ Result<StoredDocument> Snapshot::LoadV1(std::string_view data,
     return Status::InvalidArgument("snapshot: trailing bytes");
   }
 
-  out.type_cache_.resize(num_types);
   out.from_snapshot_ = true;
   out.ingest_ms_ =
       std::chrono::duration<double, std::milli>(
@@ -953,7 +952,6 @@ Result<StoredDocument> Snapshot::LoadV2(
     return Status::InvalidArgument("snapshot: trailing bytes");
   }
 
-  out.type_cache_.resize(num_types);
   out.mapping_ = std::move(mapping);
   out.snapshot_buffer_ = std::move(buffer);
   out.snapshot_bytes_ = full.size();

@@ -25,9 +25,9 @@
 /// Everything cheap to re-derive is re-derived on Load rather than stored:
 /// packed offset/length/key columns from the arena framing, the node-type
 /// and node-row columns from the type lists, postings and numeric rows
-/// from the term-id columns. The NodeId <-> Pbn map is not rebuilt at all
-/// — the packed arenas carry every number, and the StoredDocument hydrates
-/// the map lazily if some query path asks for it.
+/// from the term-id columns. The heap NodeId -> Pbn column is not rebuilt
+/// at all — the packed arenas carry every number, and the StoredDocument
+/// hydrates the column lazily when the virtual substrate asks for it.
 ///
 /// Load validates every section — arbitrary (truncated, bit-flipped,
 /// hostile) input returns InvalidArgument, never crashes (fuzz-tested).

@@ -33,8 +33,7 @@ StoredDocument::StoredDocument(StoredDocument&& other) noexcept
       lazy_arenas_(std::move(other.lazy_arenas_)),
       packed_ready_(std::move(other.packed_ready_)),
       snapshot_bytes_(other.snapshot_bytes_),
-      mapped_bytes_(other.mapped_bytes_),
-      type_cache_(std::move(other.type_cache_)) {}
+      mapped_bytes_(other.mapped_bytes_) {}
 
 StoredDocument& StoredDocument::operator=(StoredDocument&& other) noexcept {
   if (this != &other) {
@@ -58,7 +57,6 @@ StoredDocument& StoredDocument::operator=(StoredDocument&& other) noexcept {
     packed_ready_ = std::move(other.packed_ready_);
     snapshot_bytes_ = other.snapshot_bytes_;
     mapped_bytes_ = other.mapped_bytes_;
-    type_cache_ = std::move(other.type_cache_);
   }
   return *this;
 }
@@ -119,7 +117,6 @@ StoredDocument StoredDocument::Build(const xml::Document& doc,
   // Phase 2 — each node's row within its type's instance list
   // (AssignTypeRows, shared with the v2 snapshot loader).
   out.packed_type_index_.assign(out.guide_.num_types(), {});
-  out.type_cache_.resize(out.guide_.num_types());
   out.AssignTypeRows();
 
   // Phase 3 — pack the per-type PBN arenas. The instance lists are already
@@ -230,23 +227,6 @@ void StoredDocument::HydrateNumbering() const {
   numbering_ready_.store(true, std::memory_order_release);
 }
 
-Result<std::string_view> StoredDocument::Value(const num::Pbn& pbn) const {
-  VPBN_ASSIGN_OR_RETURN(auto range, ValueRange(pbn));
-  return std::string_view(text_).substr(range.first,
-                                        range.second - range.first);
-}
-
-Result<std::pair<uint64_t, uint64_t>> StoredDocument::ValueRange(
-    const num::Pbn& pbn) const {
-  VPBN_ASSIGN_OR_RETURN(xml::NodeId id, numbering().NodeOf(pbn));
-  return ranges_[id];
-}
-
-Result<NodeHeader> StoredDocument::Header(const num::Pbn& pbn) const {
-  VPBN_ASSIGN_OR_RETURN(xml::NodeId id, numbering().NodeOf(pbn));
-  return NodeHeader{pbn, node_types_[id]};
-}
-
 const num::PackedPbnList& StoredDocument::PackedNodesOfType(
     dg::TypeId t) const {
   static const num::PackedPbnList kEmpty;
@@ -287,18 +267,6 @@ void StoredDocument::EnsureAllPacked() const {
   }
 }
 
-const std::vector<num::Pbn>& StoredDocument::NodesOfType(dg::TypeId t) const {
-  static const std::vector<num::Pbn> kEmpty;
-  if (t >= packed_type_index_.size()) return kEmpty;
-  const num::PackedPbnList& packed = PackedNodesOfType(t);
-  std::lock_guard<std::mutex> lock(type_cache_mu_);
-  std::unique_ptr<std::vector<num::Pbn>>& slot = type_cache_[t];
-  if (slot == nullptr) {
-    slot = std::make_unique<std::vector<num::Pbn>>(packed.MaterializeAll());
-  }
-  return *slot;
-}
-
 const std::vector<xml::NodeId>& StoredDocument::NodeIdsOfType(
     dg::TypeId t) const {
   static const std::vector<xml::NodeId> kEmpty;
@@ -322,16 +290,6 @@ std::pair<size_t, size_t> StoredDocument::TypeRangeWithin(
   return PackedNodesOfType(t).PrefixRange(scope);
 }
 
-std::vector<num::Pbn> StoredDocument::NodesOfTypeWithin(
-    dg::TypeId t, const num::Pbn& scope) const {
-  const num::PackedPbnList& all = PackedNodesOfType(t);
-  auto [first, last] = TypeRangeWithin(t, scope);
-  std::vector<num::Pbn> out;
-  out.reserve(last - first);
-  for (size_t i = first; i < last; ++i) out.push_back(all.Materialize(i));
-  return out;
-}
-
 size_t StoredDocument::resident_mapped_bytes() const {
   return mapping_ != nullptr ? mapping_->ResidentBytes() : 0;
 }
@@ -343,7 +301,11 @@ void StoredDocument::EvictMappedPages() const {
 size_t StoredDocument::MemoryUsage() const {
   size_t total = text_.capacity() +
                  ranges_.capacity() * sizeof(std::pair<uint64_t, uint64_t>);
-  total += numbering().NumbersMemoryUsage();
+  // Only numbers already hydrated count: a snapshot-loaded document keeps
+  // them in the packed arenas, and reading numbering() here would hydrate.
+  if (numbering_ready_.load(std::memory_order_acquire)) {
+    total += numbering_.NumbersMemoryUsage();
+  }
   total += guide_.MemoryUsage();
   total += node_types_.capacity() * sizeof(dg::TypeId);
   total += node_rows_.capacity() * sizeof(uint32_t);

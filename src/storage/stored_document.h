@@ -1,6 +1,6 @@
 /// \file stored_document.h
 /// \brief The paper's storage model (§6): the document as one long string
-/// plus a value index from PBN numbers to character ranges.
+/// plus a value index from nodes to character ranges.
 ///
 /// "Suppose that an XML DBMS stores the source XML data as a long string.
 ///  Then the value of each kind of node is a specific substring. ... A
@@ -9,10 +9,16 @@
 ///
 /// A StoredDocument bundles:
 ///   * the canonical serialized string of the document,
-///   * per-node headers (PBN number + Type ID, §6's header information),
-///   * the value index PBN -> [start, end) byte range,
-///   * a type index TypeId -> PBN numbers in document order (the usual
-///     "find all the <author> elements" index, §4.3).
+///   * per-node headers (Type ID and row within the type, §6's header
+///     information; the PBN number sits at that row of the type index),
+///   * the value index node -> [start, end) byte range,
+///   * a type index TypeId -> packed PBN numbers in document order (the
+///     usual "find all the <author> elements" index, §4.3), aligned row for
+///     row with the NodeIds they number.
+///
+/// Stored query results are NodeIds. A number's node is found by its
+/// (type, row) position in the type index, never by hashing the number, so
+/// there is no Pbn -> NodeId map.
 
 #pragma once
 
@@ -21,7 +27,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mmap_file.h"
@@ -35,13 +40,6 @@
 #include "xml/document.h"
 
 namespace vpbn::storage {
-
-/// \brief Per-node header, mirroring the paper's on-disk node header
-/// ("the header information has a PBN number and a Type ID").
-struct NodeHeader {
-  num::Pbn pbn;
-  dg::TypeId type = dg::kNullType;
-};
 
 /// \brief A document in stored-string form with its numbering and indexes.
 class StoredDocument {
@@ -89,11 +87,11 @@ class StoredDocument {
   size_t mapped_bytes() const { return mapped_bytes_; }
   /// @}
 
-  /// The NodeId <-> Pbn map. Build constructs it eagerly (numbering *is*
-  /// part of the build); a snapshot-loaded document hydrates it from the
-  /// packed per-type arenas on first call — the packed columns already hold
-  /// every number, so queries that stay on the packed hot paths never pay
-  /// for the heap Pbns or the reverse hash. Thread-safe.
+  /// The NodeId -> Pbn column as heap Pbns. Build constructs it eagerly
+  /// (numbering *is* part of the build); a snapshot-loaded document
+  /// hydrates it from the packed per-type arenas on first call. Only the
+  /// virtual substrate reads it; stored queries and value rendering stay on
+  /// the packed arenas and NodeIds, so they never hydrate it. Thread-safe.
   const num::Numbering& numbering() const {
     if (!numbering_ready_.load(std::memory_order_acquire)) {
       HydrateNumbering();
@@ -111,13 +109,12 @@ class StoredDocument {
   /// \name Value index (§6)
   /// @{
 
-  /// XML value of the node with number \p pbn: the substring of the stored
-  /// string from its start tag to its end tag (or the escaped text for text
-  /// nodes). NotFound if no node has that number.
-  Result<std::string_view> Value(const num::Pbn& pbn) const;
-
-  /// Byte range [start, end) of the node's value in the stored string.
-  Result<std::pair<uint64_t, uint64_t>> ValueRange(const num::Pbn& pbn) const;
+  /// XML value of node \p id: the substring of the stored string from its
+  /// start tag to its end tag (or the escaped text for text nodes). O(1).
+  std::string_view Value(xml::NodeId id) const {
+    const auto& [start, end] = ranges_[id];
+    return std::string_view(text_).substr(start, end - start);
+  }
 
   /// The dictionary-encoded value index (term columns, postings, numeric
   /// rows) the query layer pushes value predicates into. Built with the
@@ -125,32 +122,24 @@ class StoredDocument {
   const idx::ValueIndex& value_index() const { return value_index_; }
   /// @}
 
-  /// Header for the node with number \p pbn.
-  Result<NodeHeader> Header(const num::Pbn& pbn) const;
-
   /// \name Type index
   ///
   /// The stored substrate is columnar: per type, one contiguous arena of
-  /// order-preserving encoded numbers (pbn/packed.h). The packed accessors
-  /// are the hot path — joins and axis scans stream over the arena with
-  /// memcmp decisions. The vector accessors materialize heap Pbns lazily
-  /// (once per type, thread-safe) for API compatibility.
+  /// order-preserving encoded numbers (pbn/packed.h), aligned row for row
+  /// with the NodeIds of that type. Joins and axis scans stream over the
+  /// arena with memcmp decisions and emit NodeIds from the aligned column;
+  /// a node's own number is PackedNodesOfType(TypeOfNode(id))[RowOfNode(id)].
   /// @{
 
   /// Packed numbers of all nodes of type \p t, in document order. Empty
   /// list for types with no instances.
   const num::PackedPbnList& PackedNodesOfType(dg::TypeId t) const;
 
-  /// PBN numbers of all nodes of type \p t, in document order. Empty vector
-  /// for types with no instances (cannot happen for Build-derived guides).
-  /// Materialized lazily from the packed arena on first call.
-  const std::vector<num::Pbn>& NodesOfType(dg::TypeId t) const;
-
-  /// NodeIds of all nodes of type \p t, aligned index-for-index with
-  /// NodesOfType(t). Lets callers avoid the PBN -> NodeId hash lookup.
+  /// NodeIds of all nodes of type \p t, in document order, aligned
+  /// index-for-index with PackedNodesOfType(t).
   const std::vector<xml::NodeId>& NodeIdsOfType(dg::TypeId t) const;
 
-  /// Row of node \p id within its type's instance list: NodesOfType /
+  /// Row of node \p id within its type's instance list: PackedNodesOfType /
   /// NodeIdsOfType / the value index's columns all align on it. O(1).
   uint32_t RowOfNode(xml::NodeId id) const { return node_rows_[id]; }
 
@@ -165,11 +154,6 @@ class StoredDocument {
   /// path — no per-call encoding).
   std::pair<size_t, size_t> TypeRangeWithin(
       dg::TypeId t, const num::PackedPbnRef& scope) const;
-
-  /// Nodes of type \p t restricted to descendants-or-self of \p scope,
-  /// materialized from the packed arena.
-  std::vector<num::Pbn> NodesOfTypeWithin(dg::TypeId t,
-                                          const num::Pbn& scope) const;
   /// @}
 
   /// Resident bytes of the snapshot mapping actually faulted in (mincore
@@ -184,6 +168,8 @@ class StoredDocument {
   void EvictMappedPages() const;
 
   /// Bytes used by the stored string, headers and indexes (E5 accounting).
+  /// The heap numbers count only once hydrated (always for a built
+  /// document); calling this never hydrates them.
   size_t MemoryUsage() const;
 
  private:
@@ -255,11 +241,6 @@ class StoredDocument {
   mutable std::mutex packed_mu_;
   size_t snapshot_bytes_ = 0;
   size_t mapped_bytes_ = 0;
-  // Lazy per-type Pbn materialization of the packed index (compatibility
-  // path). unique_ptr keeps each vector's address stable once built; the
-  // mutex orders first-build against concurrent readers.
-  mutable std::mutex type_cache_mu_;
-  mutable std::vector<std::unique_ptr<std::vector<num::Pbn>>> type_cache_;
 };
 
 }  // namespace vpbn::storage

@@ -203,19 +203,9 @@ const std::vector<uint8_t>* VirtualDocument::ReachableBitmap(
 }
 
 bool VirtualDocument::IsReachable(const VirtualNode& v) const {
-  if (guaranteed_[v.vtype]) return true;
-  const std::vector<uint8_t>& bm = *ReachableBitmap(v.vtype);
-  // Locate the node's index in its type's instance list: instances of one
-  // type share one depth, so the containment range of the node's own
-  // number is the node itself.
-  dg::TypeId ot = vguide_->original(v.vtype);
-  auto [first, last] =
-      stored_->TypeRangeWithin(ot, stored_->numbering().OfNode(v.node));
-  const std::vector<xml::NodeId>& ids = stored_->NodeIdsOfType(ot);
-  for (size_t i = first; i < last; ++i) {
-    if (ids[i] == v.node) return bm[i] != 0;
-  }
-  return false;
+  // A virtual node's node always has its vtype's original type, so its row
+  // in that type's instance list is the bitmap index.
+  return IsReachableAt(v.vtype, stored_->RowOfNode(v.node));
 }
 
 std::vector<VirtualNode> VirtualDocument::NodesOfVType(
@@ -247,18 +237,19 @@ std::vector<VirtualNode> VirtualDocument::RelatedInstances(
   std::vector<VirtualNode> out;
   if (z == dg::kNullType) return out;  // unrelated trees: no instances
 
-  const num::Pbn& xp = stored_->numbering().OfNode(x);
   if (z == ty) {
     // Case 2 (including ty == tx): the unique ancestor-or-self of x at the
-    // original depth of ty, read straight off x's own number.
-    num::Pbn anc = xp.Prefix(orig.length(ty));
-    auto node = stored_->numbering().NodeOf(anc);
-    if (node.ok()) out.push_back(VirtualNode{node.value(), ct});
+    // original depth of ty, length(tx) - length(ty) parent links up.
+    xml::NodeId anc = x;
+    for (size_t up = orig.length(tx) - orig.length(ty); up > 0; --up) {
+      anc = stored_->doc().parent(anc);
+    }
+    out.push_back(VirtualNode{anc, ct});
     return out;
   }
   // Cases 1 and 3: scan instances of ty inside the subtree of x's ancestor
   // at the LCA's depth (which is x itself when z == tx).
-  num::Pbn scope = xp.Prefix(orig.length(z));
+  num::Pbn scope = stored_->numbering().OfNode(x).Prefix(orig.length(z));
   auto [first, last] = stored_->TypeRangeWithin(ty, scope);
   const std::vector<xml::NodeId>& ids = stored_->NodeIdsOfType(ty);
   out.reserve(last - first);

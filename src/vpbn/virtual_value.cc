@@ -22,10 +22,7 @@ std::string VirtualValueComputer::Value(const VirtualNode& v) {
 bool VirtualValueComputer::ValueView(const VirtualNode& v,
                                      std::string_view* out) {
   if (!intact_[v.vtype]) return false;
-  const storage::StoredDocument& stored = vdoc_->stored();
-  auto range = stored.Value(stored.numbering().OfNode(v.node));
-  if (!range.ok()) return false;
-  *out = range.value();
+  *out = vdoc_->stored().Value(v.node);
   ++stats_.range_copies;
   return true;
 }
@@ -35,12 +32,9 @@ void VirtualValueComputer::AppendValue(const VirtualNode& v,
   const storage::StoredDocument& stored = vdoc_->stored();
   if (intact_[v.vtype]) {
     // One range copy through the value index (§6).
-    auto range = stored.Value(stored.numbering().OfNode(v.node));
-    if (range.ok()) {
-      out->append(range.value());
-      ++stats_.range_copies;
-      return;
-    }
+    out->append(stored.Value(v.node));
+    ++stats_.range_copies;
+    return;
   }
   ++stats_.constructed_nodes;
   const xml::Document& doc = stored.doc();

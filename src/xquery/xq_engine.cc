@@ -422,11 +422,11 @@ Result<Sequence> Engine::EvalExpr(const XqExpr& expr, Env* env) {
           AttributeTerminal(expr.path, &nav_steps, &attr_name);
       query::IndexedAdapter adapter(*it->second.stored);
       query::PathEvaluator<query::IndexedAdapter> eval(adapter);
-      VPBN_ASSIGN_OR_RETURN(std::vector<num::Pbn> pbns,
+      VPBN_ASSIGN_OR_RETURN(std::vector<xml::NodeId> ids,
                             eval.EvalPrefix(expr.path, nav_steps));
-      for (const num::Pbn& p : pbns) {
+      for (xml::NodeId id : ids) {
         if (attr_terminal) {
-          auto value = adapter.Attribute(p, *attr_name);
+          auto value = adapter.Attribute(id, *attr_name);
           if (!value.ok()) continue;
           Item item;
           item.kind = Item::Kind::kString;
@@ -436,7 +436,7 @@ Result<Sequence> Engine::EvalExpr(const XqExpr& expr, Env* env) {
           Item item;
           item.kind = Item::Kind::kNode;
           item.doc = it->second.doc;
-          item.node = it->second.stored->numbering().NodeOf(p).value();
+          item.node = id;
           out.push_back(std::move(item));
         }
       }

@@ -46,7 +46,7 @@ class AuctionFixture : public ::testing::Test {
     if (!nav.ok() || !idx.ok()) return 0;
     EXPECT_EQ(nav->size(), idx->size()) << path;
     for (size_t i = 0; i < nav->size() && i < idx->size(); ++i) {
-      EXPECT_EQ(stored_->numbering().OfNode((*nav)[i]), (*idx)[i]) << path;
+      EXPECT_EQ((*nav)[i], (*idx)[i]) << path;
     }
     auto bulk = query::EvalBulk(*stored_, path);
     if (bulk.ok()) {

@@ -242,7 +242,7 @@ void ExpectCostModelIsPureOptimization(
     for (int threads : {1, 2, 8}) {
       auto r = engine.Execute(path, {.threads = threads});
       ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->pbn_nodes(), *baseline) << "threads=" << threads;
+      EXPECT_EQ(r->node_ids(), *baseline) << "threads=" << threads;
     }
   }
 }
@@ -313,7 +313,7 @@ TEST(ZoneMapTest, ClusteredRangeScanSkipsColdBlocks) {
   const std::string query = "//chunk[id >= 20000]";
   auto on = engine.Execute(query, {.collect_stats = true});
   ASSERT_TRUE(on.ok()) << on.status();
-  EXPECT_EQ(on->pbn_nodes().size(), 1u);  // only the last chunk survives
+  EXPECT_EQ(on->node_ids().size(), 1u);  // only the last chunk survives
   EXPECT_GT(on->stats().est_rows, 0u);
   // Chunks 0..6 hold only values < 20000; each contributes 10 zone blocks
   // whose zone_max rules them out. Allow slack for strategy boundaries but
@@ -322,7 +322,7 @@ TEST(ZoneMapTest, ClusteredRangeScanSkipsColdBlocks) {
 
   auto per_node = testutil::EvalPerNode(*stored, query);
   ASSERT_TRUE(per_node.ok()) << per_node.status();
-  EXPECT_EQ(*per_node, on->pbn_nodes());
+  EXPECT_EQ(*per_node, on->node_ids());
 }
 
 }  // namespace

@@ -58,18 +58,6 @@ TEST(NumberingTest, ForestRootsNumbered) {
   EXPECT_EQ(n.OfNode(c).ToString(), "2.1");
 }
 
-TEST(NumberingTest, ReverseLookup) {
-  Document doc;
-  NodeId root = doc.AddElement("r", xml::kNullNode);
-  NodeId kid = doc.AddElement("k", root);
-  Numbering n = Numbering::Number(doc);
-  EXPECT_EQ(n.NodeOf(Pbn{1}).value(), root);
-  EXPECT_EQ(n.NodeOf(Pbn{1, 1}).value(), kid);
-  EXPECT_TRUE(n.NodeOf(Pbn{1, 2}).status().IsNotFound());
-  EXPECT_TRUE(n.Contains(Pbn{1, 1}));
-  EXPECT_FALSE(n.Contains(Pbn{2}));
-}
-
 TEST(NumberingTest, TextNodesAreNumbered) {
   xml::DocumentBuilder b;
   b.Open("t").Text("one").Open("b").Close().Text("two").Close();

@@ -290,14 +290,24 @@ TEST(PackedJoinTest, TypeIndexJoinsMatchAcrossThreadCounts) {
   ASSERT_TRUE(personref.ok());
   ASSERT_TRUE(bidder.ok());
 
-  const std::vector<Pbn>& anc = stored.NodesOfType(*auction);
-  const std::vector<Pbn>& desc = stored.NodesOfType(*personref);
-  const std::vector<Pbn>& kids = stored.NodesOfType(*bidder);
+  // The heap baseline: each type's numbers from a fresh Numbering of the
+  // document, read through the type index's aligned NodeIds.
+  const Numbering numbering = Numbering::Number(doc);
+  auto numbers_of = [&](dg::TypeId t) {
+    std::vector<Pbn> out;
+    for (xml::NodeId id : stored.NodeIdsOfType(t)) {
+      out.push_back(numbering.OfNode(id));
+    }
+    return out;
+  };
+  const std::vector<Pbn> anc = numbers_of(*auction);
+  const std::vector<Pbn> desc = numbers_of(*personref);
+  const std::vector<Pbn> kids = numbers_of(*bidder);
   const PackedPbnList& panc = stored.PackedNodesOfType(*auction);
   const PackedPbnList& pdesc = stored.PackedNodesOfType(*personref);
   const PackedPbnList& pkids = stored.PackedNodesOfType(*bidder);
 
-  // The lazily materialized vectors must mirror the packed arenas exactly.
+  // The packed arenas must mirror the heap numbers exactly.
   EXPECT_EQ(panc.MaterializeAll(), anc);
   EXPECT_EQ(pdesc.MaterializeAll(), desc);
 

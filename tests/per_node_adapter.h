@@ -62,7 +62,7 @@ Result<std::vector<typename Inner::Node>> EvalPerNode(
   return evaluator.Eval(path);
 }
 
-inline Result<std::vector<num::Pbn>> EvalPerNode(
+inline Result<std::vector<xml::NodeId>> EvalPerNode(
     const storage::StoredDocument& stored, std::string_view path_text) {
   return EvalPerNode(query::IndexedAdapter(stored), path_text);
 }

@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
 #include "query/engine.h"
 #include "query/eval_nav.h"
 #include "query/eval_virtual.h"
+#include "storage/snapshot.h"
 #include "vpbn/materializer.h"
 #include "workload/random_trees.h"
 
@@ -161,6 +163,74 @@ TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismTest,
                          ::testing::Range<uint64_t>(1, 7));
+
+/// Stored results are the nav oracle's NodeIds in the oracle's order: the
+/// stored document shares the DOM's ids, and both plans return document
+/// order. GenerateRandomTree attaches children to earlier parents, so its
+/// NodeIds are not in preorder, and an evaluator or merge that ordered
+/// results by NodeId fails here. The battery reaches both stored plans:
+/// bulk chains, `//*` (every element type, merged from per-type runs), and
+/// order axes and positional predicates (the indexed plan).
+class StoredMatchesNavTest : public ::testing::TestWithParam<uint64_t> {};
+
+void ExpectStoredMatchesNav(
+    const std::shared_ptr<const storage::StoredDocument>& stored) {
+  // An aliasing pointer: the nav oracle walks the stored document's own
+  // tree, whose NodeIds the stored results use.
+  QueryEngine nav_engine(
+      std::shared_ptr<const xml::Document>(stored, &stored->doc()));
+  QueryEngine stored_engine(stored);
+  const std::vector<std::string> paths = {
+      "//e0",          "//e1/e2",          "//e0//e1",
+      "//e2/text()",   "//e0[e1]/e2",      "//*",
+      "//e1//*",       "//text()",         "/r0/*",
+      "//e1/following::e2",                "//e0/preceding-sibling::*",
+      "//e2/ancestor::*",                  "//e3/..",
+      "//e1[2]",       "//e0/*[1]",        "//*[e2][1]//e3",
+  };
+  std::set<std::string> plans;
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    auto want = nav_engine.Execute(path);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (int threads : {1, 2, 8}) {
+      auto got = stored_engine.Execute(
+          path, {.threads = threads, .collect_stats = {}});
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(got->nodes() == want->nodes()) << "threads=" << threads;
+      plans.insert(got->stats().plan);
+    }
+  }
+  EXPECT_EQ(plans, (std::set<std::string>{"bulk", "indexed"}));
+}
+
+TEST_P(StoredMatchesNavTest, SameNodeIdsInDocumentOrder) {
+  workload::RandomTreeOptions topts;
+  topts.seed = GetParam();
+  topts.num_nodes = 600;
+  topts.num_labels = 4;
+  topts.text_prob = 0.25;
+  xml::Document doc = workload::GenerateRandomTree(topts);
+  // The premise: NodeId order is not document order here.
+  std::vector<xml::NodeId> order = doc.DocumentOrder();
+  ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+
+  auto built = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(std::move(doc)));
+  {
+    SCOPED_TRACE("built");
+    ExpectStoredMatchesNav(built);
+  }
+  auto loaded = storage::Snapshot::Load(
+      storage::Snapshot::Write(*built, /*version=*/2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  SCOPED_TRACE("v2 snapshot");
+  ExpectStoredMatchesNav(
+      std::make_shared<const storage::StoredDocument>(std::move(*loaded)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoredMatchesNavTest,
+                         ::testing::Range<uint64_t>(1, 5));
 
 }  // namespace
 }  // namespace vpbn::query

@@ -15,6 +15,7 @@
 #include "tests/test_util.h"
 #include "vpbn/virtual_document.h"
 #include "workload/auctions.h"
+#include "workload/books.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -51,9 +52,8 @@ TEST(SnapshotTest, RoundTripPaperFigure2) {
   for (dg::TypeId t = 0; t < built.dataguide().num_types(); ++t) {
     EXPECT_EQ(loaded->dataguide().path(t), built.dataguide().path(t));
   }
-  auto value = loaded->Value(Pbn{1, 1, 2});
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, "<author><name>C</name></author>");
+  EXPECT_EQ(loaded->Value(testutil::NodeAt(doc, Pbn{1, 1, 2})),
+            "<author><name>C</name></author>");
 }
 
 TEST(SnapshotTest, RoundTripEmptyDocument) {
@@ -184,6 +184,37 @@ TEST(SnapshotTest, LoadedDocumentAnswersQueriesIdentically) {
   }
 }
 
+// A snapshot-loaded document keeps its numbers in the packed arenas:
+// stored queries, their rendered values and the memory report must all
+// leave the heap numbering unhydrated, so only an explicit numbering() call
+// grows the report by the numbers it materializes.
+TEST(SnapshotTest, StoredQueriesAndMemoryUsageDoNotHydrateTheNumbering) {
+  workload::BooksOptions opts;
+  opts.num_books = 200;
+  xml::Document doc = workload::GenerateBooks(opts);
+  const StoredDocument built = StoredDocument::Build(doc);
+  auto loaded = Snapshot::Load(Snapshot::Write(built, /*version=*/2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto stored = std::make_shared<const StoredDocument>(std::move(*loaded));
+
+  query::QueryEngine engine(stored);
+  auto r = engine.Execute("//book/title");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_FALSE(r->node_ids().empty());
+  std::vector<std::string> values = engine.StringValues(*r);
+  ASSERT_EQ(values.size(), r->size());
+  EXPECT_EQ(values[0], built.Value(r->node_ids()[0]));
+  const size_t m1 = stored->MemoryUsage();
+
+  const size_t hydrated = stored->numbering().NumbersMemoryUsage();
+  const size_t m2 = stored->MemoryUsage();
+  // Hydration also decodes every arena the query left lazy, so the report
+  // grows by at least the numbers: one Pbn slot per node, as in the built
+  // document's column, plus each number's components.
+  EXPECT_GE(m2 - m1, hydrated);
+  EXPECT_GT(hydrated, built.numbering().size() * sizeof(num::Pbn));
+}
+
 TEST(SnapshotTest, LoadedDocumentOwnsItsTree) {
   StoredDocument loaded;
   {
@@ -196,9 +227,8 @@ TEST(SnapshotTest, LoadedDocumentOwnsItsTree) {
   EXPECT_GT(loaded.doc().num_nodes(), 0u);
   EXPECT_TRUE(loaded.from_snapshot());
   EXPECT_GE(loaded.ingest_ms(), 0.0);
-  auto value = loaded.Value(Pbn{1, 1, 2});
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, "<author><name>C</name></author>");
+  EXPECT_EQ(loaded.Value(testutil::NodeAt(loaded.doc(), Pbn{1, 1, 2})),
+            "<author><name>C</name></author>");
 }
 
 TEST(SnapshotTest, OwningBuildKeepsDocumentAlive) {
@@ -209,12 +239,11 @@ TEST(SnapshotTest, OwningBuildKeepsDocumentAlive) {
   }
   EXPECT_GT(stored.doc().num_nodes(), 0u);
   EXPECT_FALSE(stored.from_snapshot());
-  auto value = stored.Value(Pbn{1, 1, 2});
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, "<author><name>C</name></author>");
+  const xml::NodeId author = testutil::NodeAt(stored.doc(), Pbn{1, 1, 2});
+  EXPECT_EQ(stored.Value(author), "<author><name>C</name></author>");
   // Moves carry the owned document along.
   StoredDocument moved = std::move(stored);
-  EXPECT_EQ(*moved.Value(Pbn{1, 1, 2}), "<author><name>C</name></author>");
+  EXPECT_EQ(moved.Value(author), "<author><name>C</name></author>");
 }
 
 TEST(SnapshotTest, RejectsBadMagicAndVersion) {

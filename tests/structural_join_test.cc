@@ -86,13 +86,14 @@ TEST(StructuralJoinTest, TypeIndexJoinMatchesQuery) {
   auto stored = storage::StoredDocument::Build(doc);
   auto book = stored.dataguide().FindByPath("data.book").value();
   auto name = stored.dataguide().FindByPath("data.book.author.name").value();
-  auto pairs =
-      AncestorDescendantJoin(stored.NodesOfType(book), stored.NodesOfType(name));
+  const std::vector<Pbn> books =
+      stored.PackedNodesOfType(book).MaterializeAll();
+  const std::vector<Pbn> names =
+      stored.PackedNodesOfType(name).MaterializeAll();
+  auto pairs = AncestorDescendantJoin(books, names);
   ASSERT_EQ(pairs.size(), 2u);  // one name per book
-  EXPECT_EQ(stored.NodesOfType(book)[pairs[0].ancestor_index].ToString(),
-            "1.1");
-  EXPECT_EQ(stored.NodesOfType(name)[pairs[0].descendant_index].ToString(),
-            "1.1.2.1");
+  EXPECT_EQ(books[pairs[0].ancestor_index].ToString(), "1.1");
+  EXPECT_EQ(names[pairs[0].descendant_index].ToString(), "1.1.2.1");
 }
 
 class JoinPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -104,20 +105,20 @@ TEST_P(JoinPropertyTest, MatchesNaiveOnRandomTypePairs) {
   xml::Document doc = workload::GenerateBooks(opts);
   auto stored = storage::StoredDocument::Build(doc);
   const dg::DataGuide& g = stored.dataguide();
+  std::vector<std::vector<Pbn>> numbers;
+  for (dg::TypeId t = 0; t < g.num_types(); ++t) {
+    numbers.push_back(stored.PackedNodesOfType(t).MaterializeAll());
+  }
   for (dg::TypeId a = 0; a < g.num_types(); ++a) {
     for (dg::TypeId d = 0; d < g.num_types(); ++d) {
-      auto fast = AncestorDescendantJoin(stored.NodesOfType(a),
-                                         stored.NodesOfType(d));
-      auto naive =
-          NaiveJoin(stored.NodesOfType(a), stored.NodesOfType(d), false);
+      auto fast = AncestorDescendantJoin(numbers[a], numbers[d]);
+      auto naive = NaiveJoin(numbers[a], numbers[d], false);
       SortPairs(&fast);
       SortPairs(&naive);
       ASSERT_EQ(fast, naive) << g.path(a) << " vs " << g.path(d);
 
-      auto fast_pc =
-          ParentChildJoin(stored.NodesOfType(a), stored.NodesOfType(d));
-      auto naive_pc =
-          NaiveJoin(stored.NodesOfType(a), stored.NodesOfType(d), true);
+      auto fast_pc = ParentChildJoin(numbers[a], numbers[d]);
+      auto naive_pc = NaiveJoin(numbers[a], numbers[d], true);
       SortPairs(&fast_pc);
       SortPairs(&naive_pc);
       ASSERT_EQ(fast_pc, naive_pc) << g.path(a) << " vs " << g.path(d);

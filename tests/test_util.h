@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "pbn/pbn.h"
 #include "xml/builder.h"
 #include "xml/document.h"
 #include "xml/parser.h"
@@ -27,6 +28,32 @@ inline xml::Document PaperFigure2() {
       </book>
     </data>)");
   return std::move(doc).ValueUnsafe();
+}
+
+/// The node of \p doc whose PBN number is \p number: the root at forest
+/// ordinal number.at1(1), then at each later component the child with that
+/// 1-based sibling ordinal, found by walking sibling links. kNullNode when
+/// no node has the number. Lets tests name the paper's literal numbers
+/// (Figure 8) by the node they denote.
+inline xml::NodeId NodeAt(const xml::Document& doc, const num::Pbn& number) {
+  xml::NodeId node = xml::kNullNode;
+  for (size_t i = 1; i <= number.length(); ++i) {
+    const uint32_t ordinal = number.at1(i);
+    if (ordinal == 0) return xml::kNullNode;
+    xml::NodeId c;
+    if (i == 1) {
+      if (ordinal > doc.roots().size()) return xml::kNullNode;
+      c = doc.roots()[ordinal - 1];
+    } else {
+      c = doc.first_child(node);
+      for (uint32_t k = 1; k < ordinal && c != xml::kNullNode; ++k) {
+        c = doc.next_sibling(c);
+      }
+    }
+    if (c == xml::kNullNode) return xml::kNullNode;
+    node = c;
+  }
+  return node;
 }
 
 /// The vDataGuide of Sam's transformation (§2): title { author { name } }.

@@ -270,7 +270,7 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnStoredDocument) {
     for (int threads : {1, 2, 8}) {
       auto r = engine.Execute(path, {.threads = threads});
       ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->pbn_nodes(), *baseline) << "threads=" << threads;
+      EXPECT_EQ(r->node_ids(), *baseline) << "threads=" << threads;
     }
   }
 }
@@ -319,7 +319,7 @@ TEST(ValueIndexPropertyTest, StatsShowPushdown) {
   ASSERT_TRUE(on.ok() && per_node.ok());
   EXPECT_GT(on->stats().value_index_lookups, 0u);
   EXPECT_EQ(on->stats().value_scan_fallbacks, 0u);
-  EXPECT_EQ(on->pbn_nodes(), *per_node);
+  EXPECT_EQ(on->node_ids(), *per_node);
 }
 
 }  // namespace

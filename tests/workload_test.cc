@@ -79,10 +79,10 @@ TEST(AuctionsTest, ShapeAndScale) {
   storage::StoredDocument s = storage::StoredDocument::Build(doc);
   auto person = g.FindByPath("site.people.person");
   ASSERT_TRUE(person.ok());
-  EXPECT_EQ(s.NodesOfType(*person).size(), 15u);
+  EXPECT_EQ(s.NodeIdsOfType(*person).size(), 15u);
   auto auction = g.FindByPath("site.open_auctions.auction");
   ASSERT_TRUE(auction.ok());
-  EXPECT_EQ(s.NodesOfType(*auction).size(), 20u);
+  EXPECT_EQ(s.NodeIdsOfType(*auction).size(), 20u);
 }
 
 TEST(AuctionsTest, Deterministic) {

@@ -43,7 +43,7 @@ using namespace vpbn;
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  vpbnq [--bulk] [--threads N] [--stats] [--json <file>] "
+               "  vpbnq [--threads N] [--stats] [--json <file>] "
                "<file.xml> <xpath>\n"
                "  vpbnq [--threads N] [--stats] [--json <file>] --view "
                "<vdataguide> <file.xml> <xpath>\n"
@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   // Engine options may precede or follow the mode flag. They collect into
   // an ExecOverrides: unset knobs fall through to the engine defaults.
   query::ExecOverrides exec_overrides;
-  bool bulk = false;
   bool load_snapshot = false;
   bool use_mmap = true;
   std::string json_path;
@@ -139,9 +138,6 @@ int main(int argc, char** argv) {
       json_path = *std::next(it);
       exec_overrides.collect_stats = true;  // the dump needs the counters
       it = args.erase(it, it + 2);
-    } else if (*it == "--bulk") {
-      bulk = true;
-      it = args.erase(it);
     } else if (*it == "--save-snapshot" && std::next(it) != args.end()) {
       save_snapshot = *std::next(it);
       it = args.erase(it, it + 2);
@@ -266,10 +262,6 @@ int main(int argc, char** argv) {
       }
       std::fprintf(stderr, "snapshot written: %s\n", save_snapshot.c_str());
     }
-    // The engine's planner already picks bulk joins where the fragment
-    // allows and per-node index scans otherwise, so --bulk is subsumed;
-    // it stays accepted for compatibility.
-    (void)bulk;
     auto stored = std::make_shared<const storage::StoredDocument>(
         std::move(built));
     query::QueryEngine engine(stored);
