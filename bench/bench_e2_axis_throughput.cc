@@ -80,8 +80,11 @@ void BM_VpbnAxis(benchmark::State& state) {
   long hits = 0;
   for (auto _ : state) {
     const auto& [a, b] = s->pairs[i++ & 4095];
-    hits += space.VCheckAxis(axis, s->vdoc.VpbnOf(s->nodes[a]),
-                             s->vdoc.VpbnOf(s->nodes[b]));
+    const virt::VirtualNode& x = s->nodes[a];
+    const virt::VirtualNode& y = s->nodes[b];
+    hits += space.VCheckAxis(
+        axis, virt::Vpbn(s->stored.numbering().OfNode(x.node), x.vtype),
+        virt::Vpbn(s->stored.numbering().OfNode(y.node), y.vtype));
   }
   benchmark::DoNotOptimize(hits);
   state.SetLabel(std::string("vpbn/") + num::AxisToString(axis));

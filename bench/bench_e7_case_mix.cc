@@ -82,7 +82,9 @@ void BM_VDescendantCheck_Case(benchmark::State& state) {
     const auto& u = uppers[i % uppers.size()];
     const auto& l = lowers[(i * 7 + 3) % lowers.size()];
     ++i;
-    hits += space.VDescendant(vdoc->VpbnOf(l), vdoc->VpbnOf(u));
+    hits += space.VDescendant(
+        virt::Vpbn(s->stored.numbering().OfNode(l.node), l.vtype),
+        virt::Vpbn(s->stored.numbering().OfNode(u.node), u.vtype));
   }
   benchmark::DoNotOptimize(hits);
   state.SetLabel(c.label);

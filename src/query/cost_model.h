@@ -18,6 +18,9 @@
 ///     whole scan).
 ///   * **Merge vs walk** (eval_virtual BatchAxis): a costed comparison of
 ///     the vtype merge join against per-node range walks.
+///   * **Witness-first vs per-node on a view** (eval_virtual
+///     BatchPredicate): whether a predicate call's context is large enough
+///     to pay for the witness side's estimated size.
 ///
 /// Costs are abstract work units (roughly "one streamed row" = 1). The
 /// zone-map survivor fraction is *computed, not estimated*: the per-block
@@ -107,6 +110,25 @@ class CostModel {
     double walk = static_cast<double>(n_context) * w_.probe *
                   Log2(n_candidates);
     return merge < walk;
+  }
+
+  /// Costed witness-first vs node-by-node for one value predicate call on
+  /// a view. The witness side collects and decodes the \p est_witnesses
+  /// estimated matching rows of the terminal vtypes (ColumnSelectivity x
+  /// rows) — once per execution, but charged in full to every call, since
+  /// any call may be the one that builds it — then decodes the
+  /// \p n_context context numbers and merges them with the witnesses in
+  /// their span. Node by node, each context node walks the predicate
+  /// path's \p chain_steps steps, each a range scan of two binary searches
+  /// over the \p n_terminal terminal instances.
+  bool WitnessBeatsPerNode(size_t n_context, size_t chain_steps,
+                           double est_witnesses, size_t n_terminal) const {
+    const double n = static_cast<double>(n_context);
+    const double witness =
+        w_.setup + (est_witnesses + n) * (w_.row + w_.materialize);
+    const double per_node = n * static_cast<double>(chain_steps) * 2 *
+                            w_.probe * Log2(n_terminal);
+    return witness < per_node;
   }
 
  private:

@@ -25,11 +25,6 @@ std::vector<dg::TypeId> IndexedAdapter::MatchingTypes(
   return out;
 }
 
-num::PackedPbnRef IndexedAdapter::NumberOf(NodeId n) const {
-  return stored_->PackedNodesOfType(stored_->TypeOfNode(n))[
-      stored_->RowOfNode(n)];
-}
-
 std::vector<NodeId> IndexedAdapter::DocumentRoots(const NodeTest& test) const {
   std::vector<NodeId> out;
   const dg::DataGuide& g = stored_->dataguide();
@@ -56,7 +51,7 @@ std::vector<NodeId> IndexedAdapter::Axis(const NodeId& n, num::Axis axis,
   const dg::DataGuide& g = stored_->dataguide();
   const xml::Document& doc = stored_->doc();
   const dg::TypeId nt = stored_->TypeOfNode(n);
-  const num::PackedPbnRef self = NumberOf(n);
+  const num::PackedPbnRef self = stored_->NumberOf(n);
   std::vector<NodeId> out;
   // The instances of type t inside n's subtree: one slice of the type's
   // NodeId column, found by a containment range scan on its arena.
@@ -129,7 +124,7 @@ void IndexedAdapter::SortUnique(std::vector<NodeId>* nodes) const {
   // same node, so duplicates end up adjacent.
   std::vector<std::pair<num::PackedPbnRef, NodeId>> keyed;
   keyed.reserve(nodes->size());
-  for (NodeId id : *nodes) keyed.emplace_back(NumberOf(id), id);
+  for (NodeId id : *nodes) keyed.emplace_back(stored_->NumberOf(id), id);
   auto less = [](const auto& a, const auto& b) { return a.first < b.first; };
   if (!std::is_sorted(keyed.begin(), keyed.end(), less)) {
     std::sort(keyed.begin(), keyed.end(), less);
@@ -422,7 +417,7 @@ bool IndexedAdapter::BatchPredicate(const Expr& pred,
                distinct.begin();
     groups[g].indexes.push_back(i);
     groups[g].ids.push_back(nodes[i]);
-    groups[g].refs.push_back(NumberOf(nodes[i]));
+    groups[g].refs.push_back(stored_->NumberOf(nodes[i]));
   }
 
   keep->assign(nodes.size(), 0);

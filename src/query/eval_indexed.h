@@ -71,8 +71,6 @@ class IndexedAdapter {
 
   bool TypeMatches(dg::TypeId t, const NodeTest& test) const;
   std::vector<dg::TypeId> MatchingTypes(const NodeTest& test) const;
-  /// The packed number of \p n: a view into its type's arena.
-  num::PackedPbnRef NumberOf(Node n) const;
 
   bool CanPushPredicate(const Expr& e,
                         const std::vector<dg::TypeId>& context_types) const;

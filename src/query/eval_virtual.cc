@@ -7,16 +7,16 @@
 #include "common/parallel.h"
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
+#include "query/cardinality.h"
 #include "query/cost_model.h"
 
 namespace vpbn::query {
 
 using virt::VirtualNode;
-using virt::Vpbn;
 
 namespace {
 
-/// Cache key for ExecContext::CachedVTypes: the test kind byte plus the
+/// Cache key for ExecContext::Cached: the test kind byte plus the
 /// name (only kName tests have one, the others collapse per kind).
 std::string TestCacheKey(const NodeTest& test) {
   std::string key(1, static_cast<char>('0' + static_cast<int>(test.kind)));
@@ -35,6 +35,23 @@ struct VirtualAdapter::ContextGroup {
   vdg::VTypeId vtype = vdg::kNullVType;
   std::vector<uint32_t> slots;  ///< context indexes, ascending
   num::DecodedPbnColumn col;    ///< context numbers, same order
+};
+
+/// How one context vtype answers a recognized [path op literal]
+/// predicate, resolved once per (predicate, context vtype) and execution.
+/// The chain's terminal vtypes pair with the context vtype under the rules
+/// BatchAxisImpl merges by:
+///   * a single child step whose two original types have no common
+///     ancestor type carries no instances — the pair is dropped;
+///   * a multi-step or descendant pair is merged only when ChainSafe and
+///     no link of its vtype path has a null original LCA;
+///   * every terminal vtype needs a value column.
+/// Anything else leaves `covered` false and the call to the per-node path.
+struct VirtualAdapter::PredPairs {
+  bool covered = true;
+  double est_witnesses = 0;  ///< ColumnSelectivity x rows, over the pairs
+  size_t terminal_rows = 0;  ///< instances of the terminal vtypes
+  std::vector<std::pair<vdg::VTypeId, virt::VPairMergePlan>> pairs;
 };
 
 /// One unit of batched axis work: merge the group's context column against
@@ -64,7 +81,9 @@ std::shared_ptr<const std::vector<vdg::VTypeId>> VirtualAdapter::MatchingVTypes(
     }
     return out;
   };
-  if (ctx_ != nullptr) return ctx_->CachedVTypes(TestCacheKey(test), build);
+  if (ctx_ != nullptr) {
+    return ctx_->Cached<std::vector<vdg::VTypeId>>(TestCacheKey(test), build);
+  }
   return std::make_shared<const std::vector<vdg::VTypeId>>(build());
 }
 
@@ -274,6 +293,7 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
   std::vector<std::unique_ptr<ContextGroup>> groups;
   {
     std::unordered_map<uint32_t, ContextGroup*> index;
+    std::vector<uint32_t> buf;
     for (size_t i = 0; i < context.size(); ++i) {
       auto [it, inserted] = index.emplace(context[i].vtype, nullptr);
       if (inserted) {
@@ -283,8 +303,8 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
       }
       ContextGroup& g = *it->second;
       g.slots.push_back(static_cast<uint32_t>(i));
-      const num::Pbn& p = vdoc_->stored().numbering().OfNode(context[i].node);
-      g.col.Append(p.components().data(), static_cast<uint32_t>(p.length()));
+      vdoc_->stored().NumberOf(context[i].node).DecodeTo(&buf);
+      g.col.Append(buf.data(), static_cast<uint32_t>(buf.size()));
     }
   }
 
@@ -417,8 +437,8 @@ std::vector<VirtualNode> VirtualAdapter::Axis(const VirtualNode& n,
   const vdg::VDataGuide& vg = vdoc_->vguide();
   const virt::VpbnSpace& space = vdoc_->space();
   std::vector<VirtualNode> out;
-  Vpbn vn = vdoc_->VpbnOf(n);
-  virt::VpbnView vview(vn);
+  std::vector<uint32_t> nbuf;
+  const virt::VpbnView vview = vdoc_->VpbnOf(n, &nbuf);
   switch (axis) {
     case Axis::kSelf:
       if (VTypeMatches(n.vtype, test)) out.push_back(n);
@@ -524,6 +544,246 @@ std::vector<VirtualNode> VirtualAdapter::Axis(const VirtualNode& n,
       break;
   }
   return out;
+}
+
+std::vector<vdg::VTypeId> VirtualAdapter::ResolveChainVTypes(
+    vdg::VTypeId ct, const Path& path) const {
+  const vdg::VDataGuide& vg = vdoc_->vguide();
+  std::vector<vdg::VTypeId> frontier{ct};
+  std::vector<char> seen;
+  for (const Step& step : path.steps) {
+    seen.assign(vg.num_vtypes(), 0);
+    std::vector<vdg::VTypeId> next;
+    auto add = [&](vdg::VTypeId t) {
+      if (!seen[t]) {
+        seen[t] = 1;
+        next.push_back(t);
+      }
+    };
+    for (vdg::VTypeId t : frontier) {
+      if (step.axis == num::Axis::kChild) {
+        for (vdg::VTypeId c : vg.children(t)) {
+          if (VTypeMatches(c, step.test)) add(c);
+        }
+        continue;
+      }
+      // kDescendant, or the anonymous '//' (IsPredicateFreeChain screens
+      // the rest), which keeps the frontier type itself too.
+      if (step.axis == num::Axis::kDescendantOrSelf) add(t);
+      std::vector<vdg::VTypeId> stack(vg.children(t).begin(),
+                                      vg.children(t).end());
+      while (!stack.empty()) {
+        const vdg::VTypeId d = stack.back();
+        stack.pop_back();
+        if (VTypeMatches(d, step.test)) add(d);
+        stack.insert(stack.end(), vg.children(d).begin(),
+                     vg.children(d).end());
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::sort(frontier.begin(), frontier.end());
+  return frontier;
+}
+
+std::shared_ptr<const VirtualAdapter::PredPairs>
+VirtualAdapter::ResolvePredPairs(const Expr& pred, const ValuePred& vp,
+                                 vdg::VTypeId ct) const {
+  auto build = [&] {
+    const vdg::VDataGuide& vg = vdoc_->vguide();
+    const dg::DataGuide& orig = vg.original_guide();
+    const bool one_child_step = vp.path->steps.size() == 1 &&
+                                vp.path->steps[0].axis == num::Axis::kChild;
+    PredPairs out;
+    for (vdg::VTypeId tt : ResolveChainVTypes(ct, *vp.path)) {
+      const dg::TypeId ot = vg.original(tt);
+      if (one_child_step) {
+        if (orig.LcaType(vg.original(ct), ot) == dg::kNullType) continue;
+      } else {
+        for (vdg::VTypeId c = tt; c != ct; c = vg.parent(c)) {
+          if (orig.LcaType(vg.original(vg.parent(c)), vg.original(c)) ==
+              dg::kNullType) {
+            out.covered = false;
+          }
+        }
+        if (!ChainSafe(ct, tt)) out.covered = false;
+      }
+      const idx::TypeColumn* col = vdoc_->ValueColumn(tt);
+      if (col == nullptr) out.covered = false;
+      if (!out.covered) return out;
+      virt::VPairMergePlan plan = vdoc_->space().PlanPairMerge(
+          ct, tt, orig.length(vg.original(ct)), orig.length(ot));
+      if (plan.impossible) continue;
+      // Without a merge prefix every context node meets every witness, so
+      // residual checks would be a cross product no span can bound.
+      if (plan.merge_prefix == 0 && !plan.residual.empty()) {
+        out.covered = false;
+        return out;
+      }
+      out.est_witnesses +=
+          CardinalityEstimator::ColumnSelectivity(*col, vp.op, vp.lit) *
+          static_cast<double>(col->stats.row_count);
+      out.terminal_rows += col->stats.row_count;
+      out.pairs.emplace_back(tt, std::move(plan));
+    }
+    return out;
+  };
+  if (ctx_ == nullptr) return std::make_shared<const PredPairs>(build());
+  return ctx_->Cached<PredPairs>(ExecContext::MemoKey('p', &pred, ct), build);
+}
+
+std::shared_ptr<const num::DecodedPbnColumn> VirtualAdapter::Witnesses(
+    const Expr& pred, const ValuePred& vp, vdg::VTypeId tt) const {
+  // Keyed by vtype, not by original type: an intact vtype reads the stored
+  // column and a non-intact vtype of the same original its own assembled
+  // one, so their matching rows differ.
+  auto build = [&] {
+    const idx::TypeColumn& col = *vdoc_->ValueColumn(tt);
+    const std::vector<uint32_t> rows =
+        CollectMatchingRows(col, vp.op, vp.lit, ctx_);
+    const num::PackedPbnList& packed =
+        vdoc_->stored().PackedNodesOfType(vdoc_->vguide().original(tt));
+    num::DecodedPbnColumn out;
+    std::vector<uint32_t> buf;
+    for (uint32_t row : rows) {
+      packed[row].DecodeTo(&buf);
+      out.Append(buf.data(), static_cast<uint32_t>(buf.size()));
+    }
+    return out;
+  };
+  if (ctx_ == nullptr) {
+    return std::make_shared<const num::DecodedPbnColumn>(build());
+  }
+  return ctx_->Cached<num::DecodedPbnColumn>(
+      ExecContext::MemoKey('w', &pred, tt), build);
+}
+
+bool VirtualAdapter::BatchPredicate(const Expr& pred,
+                                    const std::vector<VirtualNode>& nodes,
+                                    std::vector<char>* keep) const {
+  ValuePred vp;
+  if (!RecognizeValuePred(pred, &vp)) return false;
+  switch (vp.kind) {
+    case ValuePred::Kind::kPathCompare:
+      return PathPredicate(pred, vp, nodes, keep);
+    case ValuePred::Kind::kAttrCompare:
+    case ValuePred::Kind::kAttrString:
+      AttrPredicate(vp, nodes, keep);
+      return true;
+    case ValuePred::Kind::kPathString:
+      break;
+  }
+  return false;
+}
+
+bool VirtualAdapter::PathPredicate(const Expr& pred, const ValuePred& vp,
+                                   const std::vector<VirtualNode>& nodes,
+                                   std::vector<char>* keep) const {
+  // Partition by vtype. Each group must arrive in row order (the
+  // evaluator hands over SortUnique'd lists, where one vtype's nodes are
+  // in row order), since the merge reads its column as document-ordered.
+  struct Group {
+    vdg::VTypeId vtype;
+    uint32_t last_row;
+    std::shared_ptr<const PredPairs> pairs;
+    std::vector<uint32_t> slots;
+  };
+  std::vector<Group> groups;
+  const storage::StoredDocument& sd = vdoc_->stored();
+  auto group_of = [&](vdg::VTypeId vtype) {
+    return std::find_if(groups.begin(), groups.end(),
+                        [&](const Group& g) { return g.vtype == vtype; });
+  };
+  for (const VirtualNode& n : nodes) {
+    const uint32_t row = sd.RowOfNode(n.node);
+    auto it = group_of(n.vtype);
+    if (it == groups.end()) {
+      groups.push_back(Group{n.vtype, row, nullptr, {}});
+    } else if (row <= it->last_row) {
+      return false;
+    } else {
+      it->last_row = row;
+    }
+  }
+  double est_witnesses = 0;
+  size_t terminal_rows = 0;
+  for (Group& g : groups) {
+    g.pairs = ResolvePredPairs(pred, vp, g.vtype);
+    if (!g.pairs->covered) return false;
+    est_witnesses += g.pairs->est_witnesses;
+    terminal_rows = std::max(terminal_rows, g.pairs->terminal_rows);
+  }
+  CostModel cm(sd);
+  if (!cm.WitnessBeatsPerNode(nodes.size(), vp.path->steps.size(),
+                              est_witnesses, terminal_rows)) {
+    return false;
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    group_of(nodes[i].vtype)->slots.push_back(static_cast<uint32_t>(i));
+  }
+
+  keep->assign(nodes.size(), 0);
+  num::JoinCounters counters;
+  uint64_t spans = 0;
+  num::DecodedPbnColumn col;
+  std::vector<uint32_t> buf;
+  for (const Group& g : groups) {
+    col.Clear();
+    for (const auto& [tt, plan] : g.pairs->pairs) {
+      const auto witnesses = Witnesses(pred, vp, tt);
+      // An empty witness side answers without decoding any number.
+      if (witnesses->empty()) continue;
+      if (col.empty()) {
+        for (uint32_t slot : g.slots) {
+          sd.NumberOf(nodes[slot].node).DecodeTo(&buf);
+          col.Append(buf.data(), static_cast<uint32_t>(buf.size()));
+        }
+      }
+      const auto [first, last] = virt::CompatibleSpan(plan, col, *witnesses);
+      ++spans;
+      virt::SemiJoinCompatible(plan, col, *witnesses, first, last, &counters,
+                               [&](size_t xi) { (*keep)[g.slots[xi]] = 1; });
+    }
+  }
+  if (ctx_ != nullptr) {
+    ctx_->CountValueIndexLookups(spans);
+    ctx_->CountComparisons(counters.comparisons, counters.bytes_compared);
+    ctx_->CountVJoinPairs(counters.vjoin_pairs);
+  }
+  return true;
+}
+
+void VirtualAdapter::AttrPredicate(const ValuePred& vp,
+                                   const std::vector<VirtualNode>& nodes,
+                                   std::vector<char>* keep) const {
+  // Exactly the stored attribute branch (eval_bulk.cc ApplyValuePred): the
+  // term at the node's row of its original type's attribute column. Text
+  // nodes have no attribute column, so they read as absent, as
+  // Attribute() reports them.
+  const storage::StoredDocument& sd = vdoc_->stored();
+  const idx::ValueIndex& vi = sd.value_index();
+  const idx::Dictionary& dict = vi.dict();
+  const bool is_compare = vp.kind == ValuePred::Kind::kAttrCompare;
+  std::shared_ptr<const std::vector<uint8_t>> bitmap;
+  if (!is_compare) bitmap = TermBitmap(dict, vp.str_fn, vp.lit.text, ctx_);
+  keep->assign(nodes.size(), 0);
+  dg::TypeId col_type = dg::kNullType;
+  const idx::AttrColumn* col = nullptr;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const xml::NodeId id = nodes[i].node;
+    if (sd.TypeOfNode(id) != col_type) {
+      col_type = sd.TypeOfNode(id);
+      col = vi.Attr(col_type, vp.attr);
+    }
+    const uint32_t term =
+        col != nullptr ? col->term_ids[sd.RowOfNode(id)] : idx::kNoTerm;
+    // A missing attribute coerces to "", which satisfies both string
+    // functions exactly when the needle is empty.
+    (*keep)[i] = is_compare ? TermMatches(dict, term, vp.op, vp.lit)
+                 : term == idx::kNoTerm ? vp.lit.text.empty()
+                                        : (*bitmap)[term] != 0;
+  }
+  if (ctx_ != nullptr) ctx_->CountValueIndexLookups(nodes.size());
 }
 
 void VirtualAdapter::SortUnique(std::vector<VirtualNode>* nodes) const {

@@ -16,6 +16,12 @@
 /// predicate calls. Pairs whose intermediate chain is not provably intact
 /// (ChainSafe) fall back to the exact per-node chain expansion, so results
 /// are byte-identical to the per-candidate path.
+///
+/// Value predicates take the stored bulk path's shape (BatchPredicate):
+/// the matching rows of each terminal vtype's value column are the
+/// witnesses, collected once per execution, and the context semi-joins
+/// them with the same vtype-pair merge, restricted to the witnesses inside
+/// the context's span.
 
 #pragma once
 
@@ -28,6 +34,7 @@
 #include "common/result.h"
 #include "query/evaluator.h"
 #include "query/path_parser.h"
+#include "query/value_pushdown.h"
 #include "vpbn/virtual_document.h"
 
 namespace vpbn::query {
@@ -74,6 +81,23 @@ class VirtualAdapter {
   bool BatchAxisFlat(const std::vector<Node>& context, num::Axis axis,
                      const NodeTest& test, std::vector<Node>* out) const;
 
+  /// Whole-list answer to a value predicate (evaluator.h
+  /// AdapterHasBatchPredicate), witness first. `[path op literal]`: per
+  /// (context vtype, terminal vtype) pair the chain reaches, the terminal
+  /// value column's matching rows (memoized per predicate and terminal
+  /// vtype) semi-join the context by the vtype-pair merge, over only the
+  /// witnesses inside the context's span. `[@attr op literal]` and
+  /// contains()/starts-with() over `@attr`: a view keeps each element's own
+  /// attributes, so the stored attribute column of the node's original
+  /// type answers at the node's row. True: keep[i] is the predicate's truth
+  /// for nodes[i]. False (the evaluator tests node by node): another shape,
+  /// contains()/starts-with() over a path (XPath reads the first node in
+  /// virtual order there), a terminal vtype without a value column, a pair
+  /// the merge rules do not cover (see PredPairs), or a list the cost
+  /// model finds too small for the witness side's estimated size.
+  bool BatchPredicate(const Expr& pred, const std::vector<Node>& nodes,
+                      std::vector<char>* keep) const;
+
   void SortUnique(std::vector<Node>* nodes) const;
   std::string StringValue(const Node& n) const;
   Result<std::string> Attribute(const Node& n, const std::string& name) const;
@@ -89,6 +113,7 @@ class VirtualAdapter {
  private:
   struct ContextGroup;
   struct JoinTask;
+  struct PredPairs;
 
   bool VTypeMatches(vdg::VTypeId t, const NodeTest& test) const;
   bool ChainSafe(vdg::VTypeId top, vdg::VTypeId bottom) const;
@@ -109,6 +134,26 @@ class VirtualAdapter {
                    num::Axis axis, const NodeTest& test,
                    std::vector<std::pair<uint32_t, Node>>* hits,
                    num::JoinCounters* counters) const;
+
+  /// The vtypes a predicate-free chain reaches from \p ct over the
+  /// vDataGuide (the view counterpart of ResolveChainTypes), sorted.
+  std::vector<vdg::VTypeId> ResolveChainVTypes(vdg::VTypeId ct,
+                                               const Path& path) const;
+  /// The merge pairs of a [path op literal] predicate from context vtype
+  /// \p ct, memoized per (predicate, context vtype) in the ExecContext.
+  std::shared_ptr<const PredPairs> ResolvePredPairs(const Expr& pred,
+                                                    const ValuePred& vp,
+                                                    vdg::VTypeId ct) const;
+  /// The witness side of terminal vtype \p tt: the numbers of its value
+  /// column's matching rows, in row order, built at most once per
+  /// (predicate, terminal vtype) and execution.
+  std::shared_ptr<const num::DecodedPbnColumn> Witnesses(
+      const Expr& pred, const ValuePred& vp, vdg::VTypeId tt) const;
+  bool PathPredicate(const Expr& pred, const ValuePred& vp,
+                     const std::vector<Node>& nodes,
+                     std::vector<char>* keep) const;
+  void AttrPredicate(const ValuePred& vp, const std::vector<Node>& nodes,
+                     std::vector<char>* keep) const;
 
   /// Shared core of BatchAxis / BatchAxisFlat: exactly one of \p slots and
   /// \p flat is non-null.

@@ -85,11 +85,12 @@ constexpr bool AdapterHasBatchAxis() {
 ///                      const NodeTest& test, std::vector<Node>* out);
 ///
 /// appending every context node's (duplicate-free) axis result directly to
-/// \p out in unspecified order. Usable only for steps without predicates:
-/// nothing there consumes per-slot positions, and the step's final
-/// SortUnique restores document order, so the result and the node counts
-/// match per-slot evaluation exactly while skipping one vector per context
-/// node.
+/// \p out in unspecified order. It must decline exactly when BatchAxis
+/// would, so a declined step goes straight to per-node evaluation. Usable
+/// only for steps without predicates: nothing there consumes per-slot
+/// positions, and the step's final SortUnique restores document order, so
+/// the result and the node counts match per-slot evaluation exactly while
+/// skipping one vector per context node.
 template <typename Adapter>
 constexpr bool AdapterHasBatchAxisFlat() {
   return requires(const Adapter& a,
@@ -334,6 +335,7 @@ class PathEvaluator {
   /// thread-safe and the context is large enough to pay for the tasks.
   Status EvalStepOverContext(const Step& step, const std::vector<Node>& context,
                              std::vector<Node>* next) {
+    bool batch_declined = false;
     if constexpr (AdapterHasBatchAxisFlat<Adapter>()) {
       if (step.predicates.empty()) {
         const size_t before = next->size();
@@ -341,12 +343,15 @@ class PathEvaluator {
           if (ctx_) ctx_->CountNodes(next->size() - before);
           return Status::OK();
         }
-        // Declined: fall through to the slotted / per-node paths.
+        // Declined, and BatchAxis declines on the same conditions: go
+        // straight to the per-node paths.
+        batch_declined = true;
       }
     }
     if constexpr (AdapterHasBatchAxis<Adapter>()) {
       std::vector<std::vector<Node>> slots;
-      if (adapter_->BatchAxis(context, step.axis, step.test, &slots)) {
+      if (!batch_declined &&
+          adapter_->BatchAxis(context, step.axis, step.test, &slots)) {
         return FinishBatchedStep(step, std::move(slots), next);
       }
     }

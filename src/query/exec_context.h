@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -84,42 +85,39 @@ class ExecContext {
   bool force_vjoin_merge() const { return force_vjoin_merge_; }
   void set_force_vjoin_merge(bool on) { force_vjoin_merge_ = on; }
 
-  /// Per-query cache of uint32 lists keyed by an adapter-chosen string:
-  /// node-test -> matching-vtype lists (so repeated steps and every context
-  /// group of a batch step do not rescan the whole type forest), and
-  /// value-pushdown (predicate, type) -> matching-row lists. \p build fills
-  /// the list on the first miss. Entries are shared_ptr so a caller can
-  /// keep reading while other threads insert.
-  template <typename Build>
-  std::shared_ptr<const std::vector<uint32_t>> CachedVTypes(
-      const std::string& key, Build&& build) {
-    {
-      std::lock_guard<std::mutex> lock(vtypes_mu_);
-      auto it = vtypes_cache_.find(key);
-      if (it != vtypes_cache_.end()) return it->second;
-    }
-    auto made = std::make_shared<const std::vector<uint32_t>>(build());
-    std::lock_guard<std::mutex> lock(vtypes_mu_);
-    auto [it, inserted] = vtypes_cache_.emplace(key, std::move(made));
-    return it->second;
+  /// A memo key from a one-byte kind tag, an address (a predicate, a path,
+  /// a dictionary) and a type id: 13 raw bytes, short enough to stay in
+  /// the string's inline buffer, so building one allocates nothing.
+  static std::string MemoKey(char tag, const void* p, uint32_t id) {
+    char raw[1 + sizeof(p) + sizeof(id)];
+    raw[0] = tag;
+    std::memcpy(raw + 1, &p, sizeof(p));
+    std::memcpy(raw + 1 + sizeof(p), &id, sizeof(id));
+    return std::string(raw, sizeof(raw));
   }
 
-  /// Per-query cache of term bitmaps: one byte per dictionary term, 1 where
-  /// the term satisfies a contains()/starts-with() needle. Built once per
-  /// (needle, dictionary) key, so such predicates test each distinct term
-  /// once instead of each node once.
-  template <typename Build>
-  std::shared_ptr<const std::vector<uint8_t>> CachedTermBitmap(
-      const std::string& key, Build&& build) {
+  /// Per-query memo keyed by an adapter-chosen string: node-test ->
+  /// matching-vtype lists (so repeated steps and every context group of a
+  /// batch step do not rescan the whole type forest), value-pushdown
+  /// (predicate, type) -> matching-row lists, term bitmaps, view witness
+  /// sides. \p build runs at most once per key and execution, even when
+  /// several threads ask at once (the others wait for it), so work counted
+  /// inside a build is counted once. Entries are shared_ptr so a caller can
+  /// keep reading while other threads insert. One key must always be asked
+  /// for with one T.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> Cached(const std::string& key, Build&& build) {
+    std::shared_ptr<CacheEntry> entry;
     {
-      std::lock_guard<std::mutex> lock(bitmaps_mu_);
-      auto it = bitmaps_cache_.find(key);
-      if (it != bitmaps_cache_.end()) return it->second;
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      std::shared_ptr<CacheEntry>& slot = cache_[key];
+      if (slot == nullptr) slot = std::make_shared<CacheEntry>();
+      entry = slot;
     }
-    auto made = std::make_shared<const std::vector<uint8_t>>(build());
-    std::lock_guard<std::mutex> lock(bitmaps_mu_);
-    auto [it, inserted] = bitmaps_cache_.emplace(key, std::move(made));
-    return it->second;
+    std::call_once(entry->once, [&] {
+      entry->value = std::make_shared<const T>(build());
+    });
+    return std::static_pointer_cast<const T>(entry->value);
   }
 
   void CountNodes(uint64_t n) {
@@ -213,14 +211,12 @@ class ExecContext {
   std::atomic<uint64_t> zone_map_skips_{0};
   std::mutex steps_mu_;
   std::vector<StepStats> steps_;
-  std::mutex vtypes_mu_;
-  std::unordered_map<std::string,
-                     std::shared_ptr<const std::vector<uint32_t>>>
-      vtypes_cache_;
-  std::mutex bitmaps_mu_;
-  std::unordered_map<std::string,
-                     std::shared_ptr<const std::vector<uint8_t>>>
-      bitmaps_cache_;
+  struct CacheEntry {
+    std::once_flag once;
+    std::shared_ptr<const void> value;
+  };
+  std::mutex cache_mu_;
+  std::unordered_map<std::string, std::shared_ptr<CacheEntry>> cache_;
 };
 
 }  // namespace vpbn::query

@@ -1,7 +1,6 @@
 #include "query/value_pushdown.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "query/evaluator.h"
 
@@ -198,11 +197,9 @@ std::shared_ptr<const std::vector<uint32_t>> MatchingRows(
     return std::make_shared<const std::vector<uint32_t>>(
         CollectMatchingRows(col, op, lit, nullptr));
   }
-  char key[64];
-  std::snprintf(key, sizeof(key), "vp:%p:%u", static_cast<const void*>(pred),
-                t);
-  return ctx->CachedVTypes(
-      key, [&] { return CollectMatchingRows(col, op, lit, ctx); });
+  return ctx->Cached<std::vector<uint32_t>>(
+      ExecContext::MemoKey('r', pred, t),
+      [&] { return CollectMatchingRows(col, op, lit, ctx); });
 }
 
 std::vector<dg::TypeId> ResolveChainTypes(const dg::DataGuide& g,
@@ -256,11 +253,9 @@ std::shared_ptr<const std::vector<dg::TypeId>> ChainTypes(
     return std::make_shared<const std::vector<dg::TypeId>>(
         ResolveChainTypes(g, context, *path));
   }
-  char key[64];
-  std::snprintf(key, sizeof(key), "vct:%p:%u",
-                static_cast<const void*>(path), context);
-  return ctx->CachedVTypes(
-      key, [&] { return ResolveChainTypes(g, context, *path); });
+  return ctx->Cached<std::vector<dg::TypeId>>(
+      ExecContext::MemoKey('c', path, context),
+      [&] { return ResolveChainTypes(g, context, *path); });
 }
 
 std::shared_ptr<const std::vector<uint8_t>> TermBitmap(
@@ -276,13 +271,10 @@ std::shared_ptr<const std::vector<uint8_t>> TermBitmap(
   if (ctx == nullptr) {
     return std::make_shared<const std::vector<uint8_t>>(build());
   }
-  std::string key = "tb:";
-  char ptr[32];
-  std::snprintf(ptr, sizeof(ptr), "%p:%d:", static_cast<const void*>(&dict),
-                static_cast<int>(fn));
-  key += ptr;
+  std::string key =
+      ExecContext::MemoKey('b', &dict, static_cast<uint32_t>(fn));
   key += needle;
-  return ctx->CachedTermBitmap(key, build);
+  return ctx->Cached<std::vector<uint8_t>>(key, build);
 }
 
 }  // namespace vpbn::query

@@ -101,9 +101,9 @@ std::vector<uint32_t> CollectMatchingRows(const idx::TypeColumn& col,
                                           const ValueLiteral& lit,
                                           ExecContext* ctx);
 
-/// \brief CollectMatchingRows memoized in the execution's CachedVTypes
-/// store under (\p pred, \p t) — every context group and every repetition
-/// of the predicate reuses one collection. Uncached when \p ctx is null.
+/// \brief CollectMatchingRows memoized in the execution's cache under
+/// (\p pred, \p t) — every context group and every repetition of the
+/// predicate reuses one collection. Uncached when \p ctx is null.
 std::shared_ptr<const std::vector<uint32_t>> MatchingRows(
     const idx::TypeColumn& col, const Expr* pred, dg::TypeId t, CompareOp op,
     const ValueLiteral& lit, ExecContext* ctx);
@@ -116,8 +116,7 @@ std::vector<dg::TypeId> ResolveChainTypes(const dg::DataGuide& g,
                                           const Path& path);
 
 /// \brief ResolveChainTypes memoized per (\p path, \p context) in the
-/// execution's CachedVTypes store (TypeId is uint32_t). Uncached when
-/// \p ctx is null.
+/// execution's cache. Uncached when \p ctx is null.
 std::shared_ptr<const std::vector<dg::TypeId>> ChainTypes(
     const dg::DataGuide& g, const Path* path, dg::TypeId context,
     ExecContext* ctx);

@@ -89,8 +89,8 @@ class StoredDocument {
 
   /// The NodeId -> Pbn column as heap Pbns. Build constructs it eagerly
   /// (numbering *is* part of the build); a snapshot-loaded document
-  /// hydrates it from the packed per-type arenas on first call. Only the
-  /// virtual substrate reads it; stored queries and value rendering stay on
+  /// hydrates it from the packed per-type arenas on first call. No query
+  /// path reads it: stored and view queries and value rendering stay on
   /// the packed arenas and NodeIds, so they never hydrate it. Thread-safe.
   const num::Numbering& numbering() const {
     if (!numbering_ready_.load(std::memory_order_acquire)) {
@@ -142,6 +142,11 @@ class StoredDocument {
   /// Row of node \p id within its type's instance list: PackedNodesOfType /
   /// NodeIdsOfType / the value index's columns all align on it. O(1).
   uint32_t RowOfNode(xml::NodeId id) const { return node_rows_[id]; }
+
+  /// The packed number of node \p id, read at its row of its type's arena.
+  num::PackedPbnRef NumberOf(xml::NodeId id) const {
+    return PackedNodesOfType(TypeOfNode(id))[RowOfNode(id)];
+  }
 
   /// Index range [first, last) into PackedNodesOfType(t)/NodeIdsOfType(t)
   /// of the instances that are descendants-or-self of \p scope, found by

@@ -1,7 +1,7 @@
 #include "vpbn/virtual_document.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
 namespace vpbn::virt {
 
@@ -24,6 +24,34 @@ std::vector<bool> ComputeIntactTypes(const vdg::VDataGuide& vg) {
     intact[t] = ok;
   }
   return intact;
+}
+
+/// SortVirtualOrder's working storage, one per thread and reused across
+/// calls: per-node child expansions sort a few nodes of two or three
+/// vtypes per call, where fresh allocations would cost more than the sort
+/// itself. Only `keys` grows with the input (the rest with the number of
+/// vtypes), and Trim releases it after a large sort, so a thread keeps a
+/// few kilobytes between calls.
+struct SortScratch {
+  struct Run {
+    size_t next = 0, end = 0;  // the run's keys still to emit
+    size_t slot = 0;           // offset of its head's components in comps
+    VpbnView head;
+  };
+  static constexpr size_t kRetainedKeys = 4096;
+  std::vector<vdg::VTypeId> run_vtypes;
+  std::vector<uint64_t> keys;  // (run << 32) | row
+  std::vector<Run> runs;
+  std::vector<uint32_t> comps;
+
+  void Trim() {
+    if (keys.capacity() > kRetainedKeys) std::vector<uint64_t>().swap(keys);
+  }
+};
+
+SortScratch& ThreadSortScratch() {
+  thread_local SortScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -249,8 +277,11 @@ std::vector<VirtualNode> VirtualDocument::RelatedInstances(
   }
   // Cases 1 and 3: scan instances of ty inside the subtree of x's ancestor
   // at the LCA's depth (which is x itself when z == tx).
-  num::Pbn scope = stored_->numbering().OfNode(x).Prefix(orig.length(z));
-  auto [first, last] = stored_->TypeRangeWithin(ty, scope);
+  xml::NodeId scope = x;
+  for (size_t up = orig.length(tx) - orig.length(z); up > 0; --up) {
+    scope = stored_->doc().parent(scope);
+  }
+  auto [first, last] = stored_->TypeRangeWithin(ty, stored_->NumberOf(scope));
   const std::vector<xml::NodeId>& ids = stored_->NodeIdsOfType(ty);
   out.reserve(last - first);
   for (size_t i = first; i < last; ++i) {
@@ -278,12 +309,10 @@ std::vector<VirtualNode> VirtualDocument::Parents(
   // A candidate parent instance must have v among its children; reuse the
   // relation in the other direction and keep candidates that relate back.
   std::vector<VirtualNode> candidates = RelatedInstances(v.node, pt);
-  const num::Numbering& num = stored_->numbering();
-  VpbnView vx(num.OfNode(v.node), v.vtype);
+  std::vector<uint32_t> xbuf, cbuf;
+  const VpbnView vx = VpbnOf(v, &xbuf);
   for (const VirtualNode& c : candidates) {
-    if (space_.VParent(VpbnView(num.OfNode(c.node), c.vtype), vx)) {
-      out.push_back(c);
-    }
+    if (space_.VParent(VpbnOf(c, &cbuf), vx)) out.push_back(c);
   }
   SortVirtualOrder(&out);
   return out;
@@ -350,10 +379,11 @@ std::vector<VirtualNode> VirtualDocument::AxisNodes(const VirtualNode& v,
     case Axis::kPreceding: {
       // Candidates: reachable instances of every type in the virtual
       // forest (the order predicates span trees via forest order).
-      Vpbn vx = VpbnOf(v);
+      std::vector<uint32_t> xbuf, cbuf;
+      const VpbnView vx = VpbnOf(v, &xbuf);
       for (vdg::VTypeId t = 0; t < vguide_->num_vtypes(); ++t) {
         for (const VirtualNode& cand : NodesOfVType(t)) {
-          Vpbn c = VpbnOf(cand);
+          const VpbnView c = VpbnOf(cand, &cbuf);
           bool hit = axis == Axis::kFollowing ? space_.VFollowing(c, vx)
                                               : space_.VPreceding(c, vx);
           if (hit && IsReachable(cand)) out.push_back(cand);
@@ -376,10 +406,11 @@ std::vector<VirtualNode> VirtualDocument::AxisNodes(const VirtualNode& v,
           sibs.insert(sibs.end(), kids.begin(), kids.end());
         }
       }
-      Vpbn vx = VpbnOf(v);
+      std::vector<uint32_t> xbuf, cbuf;
+      const VpbnView vx = VpbnOf(v, &xbuf);
       for (const VirtualNode& cand : sibs) {
         if (cand == v) continue;
-        auto cmp = space_.VCompare(VpbnOf(cand), vx);
+        auto cmp = space_.VCompare(VpbnOf(cand, &cbuf), vx);
         bool hit = axis == Axis::kFollowingSibling
                        ? cmp == std::weak_ordering::greater
                        : cmp == std::weak_ordering::less;
@@ -405,119 +436,94 @@ std::string VirtualDocument::StringValue(const VirtualNode& v) const {
 }
 
 void VirtualDocument::SortVirtualOrder(std::vector<VirtualNode>* nodes) const {
-  const size_t n = nodes->size();
-  if (n <= 1) return;
-  // Compare through borrowed views: OfNode hands out a stable reference,
-  // so no Pbn is materialized per comparison.
-  const num::Numbering& num = stored_->numbering();
-  auto vless = [&](const VirtualNode& a, const VirtualNode& b) {
-    return space_.VCompare(VpbnView(num.OfNode(a.node), a.vtype),
-                           VpbnView(num.OfNode(b.node), b.vtype)) ==
-           std::weak_ordering::less;
-  };
-  if (n < 32) {
-    std::stable_sort(nodes->begin(), nodes->end(), vless);
-    nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
-    return;
-  }
-
-  // Large inputs: within one vtype every instance has the same number
-  // length and the same level segmentation, so virtual order degenerates
-  // to plain lexicographic PBN order — integer compares. Partition into
-  // per-vtype runs, sort each run cheaply, and pay the full virtual-order
-  // comparator only where runs interleave. Duplicates share a vtype, so
-  // run-local dedup is complete.
-  auto lexless = [&](const VirtualNode& a, const VirtualNode& b) {
-    const std::vector<uint32_t>& ca = num.OfNode(a.node).components();
-    const std::vector<uint32_t>& cb = num.OfNode(b.node).components();
-    return std::lexicographical_compare(ca.begin(), ca.end(), cb.begin(),
-                                        cb.end());
-  };
-  // Run-local order is plain document order, and the type index already
-  // keeps an 8-byte ordered-codec sort key per instance. Decorating the
-  // run with those keys turns the sortedness precheck into a flat uint64
-  // scan and the sort into an integer sort; component compares fire only
-  // on equal keys (numbers sharing their first eight encoded bytes).
-  dg::TypeId memo_type = dg::kNullType;
-  const uint64_t* memo_keys = nullptr;
-  auto doc_key = [&](const VirtualNode& v) {
-    const dg::TypeId t = stored_->TypeOfNode(v.node);
-    if (t != memo_type) {
-      memo_type = t;
-      memo_keys = stored_->PackedNodesOfType(t).keys_data();
-    }
-    return memo_keys[stored_->RowOfNode(v.node)];
-  };
-  auto sort_run = [&](std::vector<VirtualNode>* run) {
-    const size_t m = run->size();
-    std::vector<uint64_t> keys(m);
-    for (size_t i = 0; i < m; ++i) keys[i] = doc_key((*run)[i]);
-    bool sorted = true;
-    for (size_t i = 0; i + 1 < m; ++i) {
-      if (keys[i] > keys[i + 1] ||
-          (keys[i] == keys[i + 1] && lexless((*run)[i + 1], (*run)[i]))) {
-        sorted = false;
-        break;
-      }
-    }
-    if (!sorted) {
-      std::vector<std::pair<uint64_t, VirtualNode>> dec(m);
-      for (size_t i = 0; i < m; ++i) dec[i] = {keys[i], (*run)[i]};
-      std::sort(dec.begin(), dec.end(),
-                [&](const std::pair<uint64_t, VirtualNode>& x,
-                    const std::pair<uint64_t, VirtualNode>& y) {
-                  if (x.first != y.first) return x.first < y.first;
-                  return lexless(x.second, y.second);
-                });
-      for (size_t i = 0; i < m; ++i) (*run)[i] = dec[i].second;
-    }
-    run->erase(std::unique(run->begin(), run->end()), run->end());
-  };
-  bool single_vtype = true;
-  for (const VirtualNode& v : *nodes) {
-    if (v.vtype != nodes->front().vtype) {
-      single_vtype = false;
-      break;
-    }
-  }
-  if (single_vtype) {
-    // Merge-join output arrives per-target in candidate order, so it is
-    // usually already sorted — worth one linear precheck.
-    sort_run(nodes);
-    return;
-  }
-  std::vector<std::vector<VirtualNode>> runs;
+  if (nodes->size() <= 1) return;
+  // Merge-join output and per-node axis results mostly arrive as one
+  // vtype in ascending rows: settle that without copying anything.
   {
-    std::unordered_map<uint32_t, size_t> index;
-    for (const VirtualNode& v : *nodes) {
-      auto [it, inserted] = index.emplace(v.vtype, runs.size());
-      if (inserted) runs.emplace_back();
-      runs[it->second].push_back(v);
+    const vdg::VTypeId vtype = nodes->front().vtype;
+    uint32_t prev = stored_->RowOfNode(nodes->front().node);
+    size_t i = 1;
+    for (; i < nodes->size(); ++i) {
+      const VirtualNode& v = (*nodes)[i];
+      const uint32_t row = stored_->RowOfNode(v.node);
+      if (v.vtype != vtype || row <= prev) break;
+      prev = row;
     }
+    if (i == nodes->size()) return;
   }
-  for (std::vector<VirtualNode>& run : runs) {
-    sort_run(&run);
+  // One run per vtype, numbered in order of first appearance (k = distinct
+  // vtypes, small). Keying each node by (run, row) sorts every run by row
+  // in one integer sort, and equal keys are the same virtual node.
+  SortScratch& scratch = ThreadSortScratch();
+  std::vector<vdg::VTypeId>& run_vtypes = scratch.run_vtypes;
+  std::vector<uint64_t>& keys = scratch.keys;
+  run_vtypes.clear();
+  keys.clear();
+  for (const VirtualNode& v : *nodes) {
+    const size_t r =
+        std::find(run_vtypes.begin(), run_vtypes.end(), v.vtype) -
+        run_vtypes.begin();
+    if (r == run_vtypes.size()) run_vtypes.push_back(v.vtype);
+    keys.push_back((uint64_t{r} << 32) | stored_->RowOfNode(v.node));
   }
-  if (runs.size() == 1) {
-    *nodes = std::move(runs.front());
-    return;
-  }
-  // K-way merge on run heads (k = distinct vtypes, small). Heads of
-  // different vtypes never compare equivalent — a vPBN names one node —
-  // so the min pick, and with it the output, is deterministic.
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  auto row_of = [&](uint64_t key) { return static_cast<uint32_t>(key); };
+  auto node_of = [&](uint64_t key) {
+    const vdg::VTypeId vtype = run_vtypes[key >> 32];
+    return VirtualNode{
+        stored_->NodeIdsOfType(vguide_->original(vtype))[row_of(key)], vtype};
+  };
   nodes->clear();
-  std::vector<size_t> pos(runs.size(), 0);
-  for (;;) {
-    size_t best = runs.size();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (pos[r] == runs[r].size()) continue;
-      if (best == runs.size() || vless(runs[r][pos[r]], runs[best][pos[best]])) {
-        best = r;
-      }
+  nodes->reserve(keys.size());
+  if (run_vtypes.size() == 1) {
+    for (uint64_t key : keys) nodes->push_back(node_of(key));
+  } else {
+    // K-way merge of the runs, now contiguous in `keys`. Each head's
+    // number is decoded once, into its run's slot of one buffer (every
+    // instance of a type has the type's length). Heads of different vtypes
+    // never compare equivalent — a vPBN names one node — so the min pick,
+    // and with it the output, is deterministic.
+    const dg::DataGuide& orig = stored_->dataguide();
+    std::vector<SortScratch::Run>& runs = scratch.runs;
+    runs.assign(run_vtypes.size(), SortScratch::Run{});
+    size_t slots = 0;
+    for (size_t i = 0, r = 0; r < runs.size(); ++r) {
+      runs[r].next = i;
+      while (i < keys.size() && (keys[i] >> 32) == r) ++i;
+      runs[r].end = i;
+      runs[r].slot = slots;
+      slots += orig.length(vguide_->original(run_vtypes[r]));
     }
-    if (best == runs.size()) break;
-    nodes->push_back(runs[best][pos[best]++]);
+    scratch.comps.resize(slots);
+    auto load_head = [&](size_t r) {
+      SortScratch::Run& run = runs[r];
+      if (run.next == run.end) return;
+      const vdg::VTypeId vtype = run_vtypes[r];
+      num::PackedPbnRef::ComponentIterator it(stored_->PackedNodesOfType(
+          vguide_->original(vtype))[row_of(keys[run.next])]);
+      uint32_t* out = scratch.comps.data() + run.slot;
+      uint32_t len = 0;
+      while (it.HasNext()) out[len++] = it.Next();
+      run.head = VpbnView(out, len, vtype);
+    };
+    for (size_t r = 0; r < runs.size(); ++r) load_head(r);
+    for (;;) {
+      size_t best = runs.size();
+      for (size_t r = 0; r < runs.size(); ++r) {
+        if (runs[r].next == runs[r].end) continue;
+        if (best == runs.size() ||
+            space_.VCompare(runs[r].head, runs[best].head) ==
+                std::weak_ordering::less) {
+          best = r;
+        }
+      }
+      if (best == runs.size()) break;
+      nodes->push_back(node_of(keys[runs[best].next++]));
+      load_head(best);
+    }
   }
+  scratch.Trim();
 }
 
 }  // namespace vpbn::virt

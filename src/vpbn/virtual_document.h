@@ -69,10 +69,12 @@ class VirtualDocument {
   const vdg::VDataGuide& vguide() const { return *vguide_; }
   const VpbnSpace& space() const { return space_; }
 
-  /// The vPBN number of a virtual node: its original PBN plus (via the
-  /// space) its type's level array.
-  Vpbn VpbnOf(const VirtualNode& v) const {
-    return Vpbn(stored_->numbering().OfNode(v.node), v.vtype);
+  /// The vPBN number of a virtual node: its original number, decoded from
+  /// its row of the type's packed arena into \p buf (reused across calls;
+  /// it must outlive the view), plus (via the space) its type's level
+  /// array.
+  VpbnView VpbnOf(const VirtualNode& v, std::vector<uint32_t>* buf) const {
+    return DecodeView(stored_->NumberOf(v.node), v.vtype, buf);
   }
 
   /// Display name of a virtual node (element name, or "" for text).
@@ -182,6 +184,10 @@ class VirtualDocument {
       dg::TypeId t, bool* built_now = nullptr) const;
 
   /// Sorts \p nodes into virtual document order and removes duplicates.
+  /// The instances of one vtype share one original type and the same
+  /// level array, so their virtual order is their row order in that type's
+  /// list: each vtype's run sorts by row, and only a k-way merge across
+  /// vtypes compares numbers.
   void SortVirtualOrder(std::vector<VirtualNode>* nodes) const;
 
   /// Instances of type \p ct related to node \p x through their least

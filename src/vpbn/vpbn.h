@@ -17,6 +17,8 @@
 #pragma once
 
 #include <compare>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -102,6 +104,122 @@ struct VPairMergePlan {
   bool impossible = false;
 };
 
+/// \brief The equal-prefix groups of two decoded, document-ordered columns
+/// under \p plan, with \p ys restricted to the rows [y_first, y_last).
+/// Calls group(xb, xe, yb, ye) for every pair of maximal runs xs[xb, xe)
+/// and ys[yb, ye) that share their first plan.merge_prefix components,
+/// in ascending order; residual positions are not checked here. Adds one
+/// comparison per group-order decision and per group extension step to
+/// \p *comparisons. A plan with merge_prefix == 0 has one group, the whole
+/// of both ranges.
+template <typename GroupSink>
+void MergeCompatibleGroups(const VPairMergePlan& plan,
+                           const num::DecodedPbnColumn& xs,
+                           const num::DecodedPbnColumn& ys, size_t y_first,
+                           size_t y_last, uint64_t* comparisons,
+                           GroupSink&& group) {
+  if (plan.impossible) return;
+  const size_t nx = xs.size();
+  if (nx == 0 || y_first >= y_last) return;
+  const uint32_t k = plan.merge_prefix;
+  if (k == 0) {
+    group(size_t{0}, nx, y_first, y_last);
+    return;
+  }
+  // Both columns are document-ordered and (per type) uniform-length, so
+  // they are sorted lexicographically by components; equal-k-prefix groups
+  // are contiguous runs on both sides. The merge walks packed 64-bit keys
+  // of the first min(k, 2) components — flat columns built in one batched
+  // pass per side — and touches the component arrays only when keys
+  // collide (k > 2 prefixes sharing both lead values).
+  const bool two = k >= 2;
+  auto build_keys = [two](const num::DecodedPbnColumn& c, size_t first,
+                          size_t last) {
+    std::vector<uint64_t> keys(last - first);
+    for (size_t i = first; i < last; ++i) {
+      const uint32_t* a = c.comps(i);
+      keys[i - first] =
+          (static_cast<uint64_t>(a[0]) << 32) | (two ? a[1] : 0u);
+    }
+    return keys;
+  };
+  const std::vector<uint64_t> xk = build_keys(xs, 0, nx);
+  const std::vector<uint64_t> yk = build_keys(ys, y_first, y_last);
+  auto tail_cmp = [&](size_t xi, size_t yi) {
+    const uint32_t* a = xs.comps(xi);
+    const uint32_t* b = ys.comps(yi);
+    for (uint32_t i = 2; i < k; ++i) {
+      if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+    }
+    return 0;
+  };
+  auto same_tail = [&](const uint32_t* a, const uint32_t* b) {
+    for (uint32_t i = 2; i < k; ++i) {
+      if (a[i] != b[i]) return false;
+    }
+    return true;
+  };
+  const size_t ny = y_last - y_first;
+  size_t xi = 0, yj = 0;  // yj indexes yk; the ys row is y_first + yj
+  while (xi < nx && yj < ny) {
+    ++*comparisons;
+    int c;
+    if (xk[xi] != yk[yj]) {
+      c = xk[xi] < yk[yj] ? -1 : 1;
+    } else {
+      c = k > 2 ? tail_cmp(xi, y_first + yj) : 0;
+    }
+    if (c < 0) {
+      ++xi;
+    } else if (c > 0) {
+      ++yj;
+    } else {
+      size_t xe = xi + 1;
+      while (xe < nx && xk[xe] == xk[xi] &&
+             (k <= 2 || same_tail(xs.comps(xe), xs.comps(xi)))) {
+        ++xe;
+      }
+      size_t ye = yj + 1;
+      while (ye < ny && yk[ye] == yk[yj] &&
+             (k <= 2 ||
+              same_tail(ys.comps(y_first + ye), ys.comps(y_first + yj)))) {
+        ++ye;
+      }
+      *comparisons += (xe - xi - 1) + (ye - yj - 1);
+      group(xi, xe, y_first + yj, y_first + ye);
+      xi = xe;
+      yj = ye;
+    }
+  }
+}
+
+/// \brief Whether xs[xi] and ys[yi], already known to share their merge
+/// prefix, agree on every residual position of \p plan. Adds one
+/// comparison per position checked.
+inline bool ResidualCompatible(const VPairMergePlan& plan,
+                               const num::DecodedPbnColumn& xs, size_t xi,
+                               const num::DecodedPbnColumn& ys, size_t yi,
+                               uint64_t* comparisons) {
+  for (uint32_t p : plan.residual) {
+    ++*comparisons;
+    if (p > xs.length(xi) || p > ys.length(yi)) return false;
+    if (xs.comps(xi)[p - 1] != ys.comps(yi)[p - 1]) return false;
+  }
+  return true;
+}
+
+/// \brief Adds a merge's work to \p counters (optional): its comparisons,
+/// the bytes they read (merge_prefix components of 4 bytes, or one for a
+/// prefix-free plan) and the pairs it emitted.
+inline void CountMerge(const VPairMergePlan& plan, uint64_t comparisons,
+                       uint64_t pairs, num::JoinCounters* counters) {
+  if (counters == nullptr) return;
+  counters->comparisons += comparisons;
+  counters->bytes_compared +=
+      comparisons * 4 * (plan.merge_prefix == 0 ? 1 : plan.merge_prefix);
+  counters->vjoin_pairs += pairs;
+}
+
 /// \brief All compatible index pairs between two decoded, document-ordered
 /// columns under \p plan, by group merge on the plan's shared prefix.
 /// Emits sink(xi, yi) for every pair with NumbersCompatible(x[xi], y[yi]);
@@ -115,107 +233,88 @@ void MergeCompatiblePairs(const VPairMergePlan& plan,
                           const num::DecodedPbnColumn& xs,
                           const num::DecodedPbnColumn& ys,
                           num::JoinCounters* counters, Sink&& sink) {
-  if (plan.impossible) return;
-  const size_t nx = xs.size();
-  const size_t ny = ys.size();
-  if (nx == 0 || ny == 0) return;
-  const uint32_t k = plan.merge_prefix;
   uint64_t comparisons = 0;
   uint64_t pairs = 0;
-  auto residual_ok = [&](size_t xi, size_t yi) {
-    for (uint32_t p : plan.residual) {
-      ++comparisons;
-      bool x_has = p <= xs.length(xi);
-      bool y_has = p <= ys.length(yi);
-      if (!x_has || !y_has) return false;
-      if (xs.comps(xi)[p - 1] != ys.comps(yi)[p - 1]) return false;
-    }
-    return true;
-  };
-  if (k == 0) {
-    for (size_t xi = 0; xi < nx; ++xi) {
-      for (size_t yi = 0; yi < ny; ++yi) {
-        if (residual_ok(xi, yi)) {
-          ++pairs;
-          sink(xi, yi);
-        }
-      }
-    }
-  } else {
-    // Both columns are document-ordered and (per type) uniform-length, so
-    // they are sorted lexicographically by components; equal-k-prefix
-    // groups are contiguous runs on both sides. The merge walks packed
-    // 64-bit keys of the first min(k, 2) components — flat columns built
-    // in one batched pass per side — and touches the component arrays
-    // only when keys collide (k > 2 prefixes sharing both lead values).
-    const bool two = k >= 2;
-    auto build_keys = [two](const num::DecodedPbnColumn& c, size_t n) {
-      std::vector<uint64_t> keys(n);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t* a = c.comps(i);
-        keys[i] = (static_cast<uint64_t>(a[0]) << 32) | (two ? a[1] : 0u);
-      }
-      return keys;
-    };
-    const std::vector<uint64_t> xk = build_keys(xs, nx);
-    const std::vector<uint64_t> yk = build_keys(ys, ny);
-    auto tail_cmp = [&](size_t xi, size_t yi) {
-      const uint32_t* a = xs.comps(xi);
-      const uint32_t* b = ys.comps(yi);
-      for (uint32_t i = 2; i < k; ++i) {
-        if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-      }
-      return 0;
-    };
-    auto same_tail = [&](const uint32_t* a, const uint32_t* b) {
-      for (uint32_t i = 2; i < k; ++i) {
-        if (a[i] != b[i]) return false;
-      }
-      return true;
-    };
-    size_t xi = 0, yi = 0;
-    while (xi < nx && yi < ny) {
-      ++comparisons;
-      int c;
-      if (xk[xi] != yk[yi]) {
-        c = xk[xi] < yk[yi] ? -1 : 1;
-      } else {
-        c = k > 2 ? tail_cmp(xi, yi) : 0;
-      }
-      if (c < 0) {
-        ++xi;
-      } else if (c > 0) {
-        ++yi;
-      } else {
-        size_t xe = xi + 1;
-        while (xe < nx && xk[xe] == xk[xi] &&
-               (k <= 2 || same_tail(xs.comps(xe), xs.comps(xi)))) {
-          ++xe;
-        }
-        size_t ye = yi + 1;
-        while (ye < ny && yk[ye] == yk[yi] &&
-               (k <= 2 || same_tail(ys.comps(ye), ys.comps(yi)))) {
-          ++ye;
-        }
-        comparisons += (xe - xi - 1) + (ye - yi - 1);
-        for (size_t i = xi; i < xe; ++i) {
-          for (size_t j = yi; j < ye; ++j) {
-            if (residual_ok(i, j)) {
+  MergeCompatibleGroups(
+      plan, xs, ys, 0, ys.size(), &comparisons,
+      [&](size_t xb, size_t xe, size_t yb, size_t ye) {
+        for (size_t i = xb; i < xe; ++i) {
+          for (size_t j = yb; j < ye; ++j) {
+            if (ResidualCompatible(plan, xs, i, ys, j, &comparisons)) {
               ++pairs;
               sink(i, j);
             }
           }
         }
-        xi = xe;
-        yi = ye;
+      });
+  CountMerge(plan, comparisons, pairs, counters);
+}
+
+/// \brief The semi-join form of MergeCompatiblePairs: calls hit(xi) once
+/// for every xs element with at least one compatible partner among
+/// ys[y_first, y_last). Stops at the first partner of each element, so its
+/// work is bounded by the two ranges, not by the pairs between them.
+/// Counts the kept elements as vjoin_pairs.
+template <typename Hit>
+void SemiJoinCompatible(const VPairMergePlan& plan,
+                        const num::DecodedPbnColumn& xs,
+                        const num::DecodedPbnColumn& ys, size_t y_first,
+                        size_t y_last, num::JoinCounters* counters, Hit&& hit) {
+  uint64_t comparisons = 0;
+  uint64_t kept = 0;
+  MergeCompatibleGroups(
+      plan, xs, ys, y_first, y_last, &comparisons,
+      [&](size_t xb, size_t xe, size_t yb, size_t ye) {
+        for (size_t i = xb; i < xe; ++i) {
+          for (size_t j = yb; j < ye; ++j) {
+            if (ResidualCompatible(plan, xs, i, ys, j, &comparisons)) {
+              ++kept;
+              hit(i);
+              break;
+            }
+          }
+        }
+      });
+  CountMerge(plan, comparisons, kept, counters);
+}
+
+/// \brief The rows [first, last) of \p ys that can be compatible with some
+/// element of \p xs under \p plan: those whose first plan.merge_prefix
+/// components lie between the prefixes of xs's first and last elements
+/// (both columns document-ordered). All of \p ys when merge_prefix is 0.
+/// Two binary searches, so a small context merges against only the
+/// partners inside its span.
+inline std::pair<size_t, size_t> CompatibleSpan(
+    const VPairMergePlan& plan, const num::DecodedPbnColumn& xs,
+    const num::DecodedPbnColumn& ys) {
+  const uint32_t k = plan.merge_prefix;
+  if (k == 0 || xs.empty()) return {0, ys.size()};
+  auto prefix_cmp = [k](const uint32_t* a, const uint32_t* b) {
+    for (uint32_t i = 0; i < k; ++i) {
+      if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+    }
+    return 0;
+  };
+  const uint32_t* lo_key = xs.comps(0);
+  const uint32_t* hi_key = xs.comps(xs.size() - 1);
+  auto partition = [&](size_t first, size_t last, auto&& below) {
+    while (first < last) {
+      const size_t mid = first + (last - first) / 2;
+      if (below(ys.comps(mid))) {
+        first = mid + 1;
+      } else {
+        last = mid;
       }
     }
-  }
-  if (counters != nullptr) {
-    counters->comparisons += comparisons;
-    counters->bytes_compared += comparisons * 4 * (k == 0 ? 1 : k);
-    counters->vjoin_pairs += pairs;
-  }
+    return first;
+  };
+  const size_t first = partition(0, ys.size(), [&](const uint32_t* y) {
+    return prefix_cmp(y, lo_key) < 0;
+  });
+  const size_t last = partition(first, ys.size(), [&](const uint32_t* y) {
+    return prefix_cmp(y, hi_key) <= 0;
+  });
+  return {first, last};
 }
 
 /// \brief The virtual numbering space of one vDataGuide.

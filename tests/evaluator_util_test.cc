@@ -103,8 +103,9 @@ TEST(VCompareProperty, StarExpansionCycleRegression) {
     for (const auto& n : v->NodesOfVType(t)) nodes.push_back(n);
   }
   const virt::VpbnSpace& space = v->space();
+  std::vector<uint32_t> abuf, bbuf;
   auto less = [&](const virt::VirtualNode& a, const virt::VirtualNode& b) {
-    return space.VCompare(v->VpbnOf(a), v->VpbnOf(b)) ==
+    return space.VCompare(v->VpbnOf(a, &abuf), v->VpbnOf(b, &bbuf)) ==
            std::weak_ordering::less;
   };
   for (const auto& a : nodes) {
@@ -137,8 +138,9 @@ TEST(VCompareProperty, StrictWeakOrderingOnSamViewNodes) {
   }
   ASSERT_GE(nodes.size(), 30u);
   const virt::VpbnSpace& space = v->space();
+  std::vector<uint32_t> abuf, bbuf;
   auto less = [&](const virt::VirtualNode& a, const virt::VirtualNode& b) {
-    return space.VCompare(v->VpbnOf(a), v->VpbnOf(b)) ==
+    return space.VCompare(v->VpbnOf(a, &abuf), v->VpbnOf(b, &bbuf)) ==
            std::weak_ordering::less;
   };
   // Antisymmetry.

@@ -26,8 +26,15 @@ namespace {
 
 /// Builds a battery of paths exercising the virtual type forest: child
 /// chains, '//' jumps, parent/ancestor hops and text steps, derived from
-/// the vDataGuide's own vpaths so most paths are non-empty.
-std::vector<std::string> PathBattery(const vdg::VDataGuide& vg) {
+/// the vDataGuide's own vpaths so most paths are non-empty. With \p texts
+/// (the document's own text values), it adds value predicates for up to
+/// four element vtypes L with an element child vtype C: equality,
+/// inequality and the mirrored operand order on C, on C/text() and on
+/// L's own text, each against a value tK drawn from \p texts, and
+/// [C > 3], which no tN text satisfies (the empty-witness path).
+std::vector<std::string> PathBattery(const vdg::VDataGuide& vg,
+                                     const std::vector<std::string>& texts =
+                                         {}) {
   std::vector<std::string> out;
   for (vdg::VTypeId t = 0; t < vg.num_vtypes() && out.size() < 12; ++t) {
     if (vg.IsTextVType(t)) continue;
@@ -42,7 +49,35 @@ std::vector<std::string> PathBattery(const vdg::VDataGuide& vg) {
     out.push_back("//" + label + "/descendant::*");
     out.push_back("//" + label + "/following-sibling::*");
   }
+  size_t predicated = 0;
+  for (vdg::VTypeId t = 0;
+       t < vg.num_vtypes() && !texts.empty() && predicated < 4; ++t) {
+    if (vg.IsTextVType(t)) continue;
+    auto child = std::find_if(
+        vg.children(t).begin(), vg.children(t).end(),
+        [&](vdg::VTypeId c) { return !vg.IsTextVType(c); });
+    if (child == vg.children(t).end()) continue;
+    const std::string l = "//" + vg.label(t);
+    const std::string& c = vg.label(*child);
+    const std::string tk = "\"" + texts[(t * 7 + 3) % texts.size()] + "\"";
+    out.push_back(l + "[" + c + " = " + tk + "]");
+    out.push_back(l + "[" + c + " != " + tk + "]");
+    out.push_back(l + "[" + tk + " = " + c + "]");
+    out.push_back(l + "[" + c + "/text() = " + tk + "]");
+    out.push_back(l + "[text() = " + tk + "]");
+    out.push_back(l + "[" + c + " > 3]");
+    ++predicated;
+  }
   return out;
+}
+
+/// The distinct text values of \p doc, sorted.
+std::vector<std::string> TextValues(const xml::Document& doc) {
+  std::set<std::string> values;
+  for (xml::NodeId id = 0; id < doc.num_nodes(); ++id) {
+    if (doc.IsText(id)) values.insert(doc.text(id));
+  }
+  return {values.begin(), values.end()};
 }
 
 class RandomEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -56,6 +91,7 @@ TEST_P(RandomEquivalenceTest, VirtualMatchesMaterialized) {
   topts.text_prob = 0.25;
   xml::Document doc = workload::GenerateRandomTree(topts);
   storage::StoredDocument stored = storage::StoredDocument::Build(doc);
+  const std::vector<std::string> texts = TextValues(doc);
 
   for (uint64_t spec_seed = 1; spec_seed <= 6; ++spec_seed) {
     workload::RandomSpecOptions sopts;
@@ -81,7 +117,7 @@ TEST_P(RandomEquivalenceTest, VirtualMatchesMaterialized) {
     for (const virt::VirtualNode& p : m->provenance) {
       if (!all_keys.insert(key(p)).second) duplicated = true;
     }
-    for (const std::string& path : PathBattery(v->vguide())) {
+    for (const std::string& path : PathBattery(v->vguide(), texts)) {
       if (duplicated && path.find("sibling") != std::string::npos) continue;
       SCOPED_TRACE(path);
       auto virtual_result = EvalVirtual(*v, path);
@@ -150,7 +186,8 @@ TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
         EXPECT_TRUE(seq->nodes() == par->nodes()) << path;
       }
     }
-    for (const std::string& path : PathBattery((*v)->vguide())) {
+    for (const std::string& path :
+         PathBattery((*v)->vguide(), TextValues(*doc))) {
       SCOPED_TRACE(path);
       auto seq = virtual_engine.Execute(path, {.threads = 1});
       auto par = virtual_engine.Execute(path, {.threads = threads});

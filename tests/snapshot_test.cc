@@ -215,6 +215,43 @@ TEST(SnapshotTest, StoredQueriesAndMemoryUsageDoNotHydrateTheNumbering) {
   EXPECT_GT(hydrated, built.numbering().size() * sizeof(num::Pbn));
 }
 
+TEST(SnapshotTest, ViewQueriesDoNotHydrateTheNumbering) {
+  const xml::Document doc = AuctionsDoc(/*items=*/30, /*people=*/20,
+                                        /*auctions=*/60);
+  const char* kSpec = "auction { itemref bidder { price } }";
+  auto built = std::make_shared<const StoredDocument>(
+      StoredDocument::Build(doc));
+  auto loaded = Snapshot::Load(Snapshot::Write(*built, /*version=*/2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto stored = std::make_shared<const StoredDocument>(std::move(*loaded));
+  auto view = virt::VirtualDocument::OpenShared(stored, kSpec);
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto built_view = virt::VirtualDocument::OpenShared(built, kSpec);
+  ASSERT_TRUE(built_view.ok()) << built_view.status();
+
+  // Child merges, a descendant merge, a value predicate (the bidder values
+  // are assembled through RelatedInstances: the view drops bidder's other
+  // children), the parent axis and the sibling axis — every view path that
+  // reads a node's number.
+  query::QueryEngine engine(*view);
+  query::QueryEngine reference(*built_view);
+  for (const char* path :
+       {"//bidder/price", "//auction//price", "//bidder[price > 120]",
+        "//price/..", "//bidder/following-sibling::bidder"}) {
+    auto r = engine.Execute(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status();
+    EXPECT_GT(r->size(), 0u) << path;
+    auto want = reference.Execute(path);
+    ASSERT_TRUE(want.ok()) << path << ": " << want.status();
+    EXPECT_EQ(engine.StringValues(*r), reference.StringValues(*want)) << path;
+  }
+  const size_t m1 = stored->MemoryUsage();
+  const size_t hydrated = stored->numbering().NumbersMemoryUsage();
+  const size_t m2 = stored->MemoryUsage();
+  EXPECT_GE(m2 - m1, hydrated);
+  EXPECT_GT(hydrated, 0u);
+}
+
 TEST(SnapshotTest, LoadedDocumentOwnsItsTree) {
   StoredDocument loaded;
   {

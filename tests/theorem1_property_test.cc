@@ -135,8 +135,8 @@ void CheckAgainstOracle(const storage::StoredDocument& stored,
   const VpbnSpace& space = vdoc.space();
   for (const VirtualNode& x : all) {
     for (const VirtualNode& y : all) {
-      Vpbn vx = vdoc.VpbnOf(x);
-      Vpbn vy = vdoc.VpbnOf(y);
+      Vpbn vx(stored.numbering().OfNode(x.node), x.vtype);
+      Vpbn vy(stored.numbering().OfNode(y.node), y.vtype);
       for (Axis axis : kContainmentAxes) {
         EXPECT_EQ(space.VCheckAxis(axis, vx, vy),
                   oracle.ExistsRel(axis, x, y))

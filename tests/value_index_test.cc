@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -20,7 +21,9 @@
 #include "query/eval_nav.h"
 #include "tests/per_node_adapter.h"
 #include "tests/test_util.h"
+#include "query/value_pushdown.h"
 #include "vpbn/virtual_document.h"
+#include "workload/auctions.h"
 #include "workload/books.h"
 #include "xml/parser.h"
 
@@ -305,6 +308,212 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnVirtualDocument) {
       EXPECT_EQ(r->virtual_nodes(), *baseline) << "threads=" << threads;
     }
   }
+}
+
+/// Runs every query through the engine at 1/2/8 threads and requires the
+/// node lists of the per-node reference. Returns the postings the engine
+/// counted over all runs.
+uint64_t ExpectViewMatchesPerNode(
+    const std::shared_ptr<const virt::VirtualDocument>& v,
+    const std::vector<std::string>& paths) {
+  QueryEngine engine(v);
+  uint64_t postings = 0;
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    auto baseline = testutil::EvalPerNode(*v, path);
+    EXPECT_TRUE(baseline.ok()) << baseline.status();
+    if (!baseline.ok()) continue;
+    for (int threads : {1, 2, 8}) {
+      auto r = engine.Execute(path,
+                              {.threads = threads, .collect_stats = true});
+      EXPECT_TRUE(r.ok()) << r.status();
+      if (!r.ok()) continue;
+      EXPECT_EQ(r->virtual_nodes(), *baseline) << "threads=" << threads;
+      EXPECT_EQ(r->stats().value_scan_fallbacks, 0u);
+      postings += r->stats().value_index_postings;
+    }
+  }
+  return postings;
+}
+
+/// Expands "{op}" and "{lit}" in \p shapes over every comparison operator
+/// and every literal.
+std::vector<std::string> OperatorBattery(
+    const std::vector<std::string>& shapes,
+    const std::vector<std::string>& literals) {
+  static const char* kOps[] = {"=", "!=", "<", "<=", ">", ">="};
+  std::vector<std::string> out;
+  for (const std::string& shape : shapes) {
+    for (const char* op : kOps) {
+      for (const std::string& lit : literals) {
+        std::string path = shape;
+        path.replace(path.find("{op}"), 4, op);
+        path.replace(path.find("{lit}"), 5, lit);
+        out.push_back(path);
+      }
+    }
+  }
+  return out;
+}
+
+std::string Quoted(const xml::Document& doc, std::string_view path) {
+  auto nodes = EvalNav(doc, path);
+  EXPECT_TRUE(nodes.ok() && !nodes->empty()) << path;
+  return "\"" + doc.StringValue(nodes->at(nodes->size() / 2)) + "\"";
+}
+
+std::shared_ptr<const virt::VirtualDocument> OpenView(
+    const std::shared_ptr<const storage::StoredDocument>& stored,
+    std::string_view spec) {
+  auto v = virt::VirtualDocument::OpenShared(stored, spec);
+  EXPECT_TRUE(v.ok()) << spec << ": " << v.status();
+  return std::move(v).ValueUnsafe();
+}
+
+// The operator battery on the five views the merge-join tests open. The
+// chain-unsafe view (title { publisher { name } }: publisher is not an
+// original ancestor of name) and the inverted ones (Case-2 pairs, where a
+// virtual child is the context's original ancestor) reach the decline
+// path and the LCA-walk pairs; @year reads the original element's
+// attribute through the view, absent on every type but book.
+TEST(ValueIndexPropertyTest, PushdownMatchesPerNodeOnJoinTestViews) {
+  workload::BooksOptions bopts;
+  bopts.seed = 29;
+  bopts.num_books = 100;
+  bopts.publisher_prob = 0.6;
+  bopts.title_prob = 0.8;  // orphaned authors
+  const xml::Document books = workload::GenerateBooks(bopts);
+  auto books_stored = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(books));
+  const std::vector<std::string> book_lits = {
+      "1990", "\"abc\"", Quoted(books, "//author/name"),
+      Quoted(books, "//title")};
+  ExpectViewMatchesPerNode(
+      OpenView(books_stored, "book { title author { name } }"),
+      OperatorBattery({"//book[title {op} {lit}]",
+                       "//book[author/name {op} {lit}]",
+                       "//book[author//name {op} {lit}]",
+                       "//author[name {op} {lit}]",
+                       "//name[text() {op} {lit}]",
+                       "//book[@year {op} {lit}]",
+                       "//author[@year {op} {lit}]"},
+                      book_lits));
+  ExpectViewMatchesPerNode(
+      OpenView(books_stored, "title { publisher { name } }"),
+      OperatorBattery({"//title[publisher/name {op} {lit}]",
+                       "//title[publisher//name {op} {lit}]",
+                       "//publisher[name {op} {lit}]",
+                       "//title[@year {op} {lit}]"},
+                      book_lits));
+  const auto inverted = OpenView(books_stored, "name { author { book } }");
+  ExpectViewMatchesPerNode(
+      inverted, OperatorBattery({"//name[author/book {op} {lit}]",
+                                 "//author[book {op} {lit}]",
+                                 "//book[@year {op} {lit}]",
+                                 "//name[text() {op} {lit}]"},
+                                book_lits));
+  ExpectViewMatchesPerNode(
+      inverted, {"//book[contains(@year, \"9\")]",
+                 "//book[starts-with(@id, \"b1\")]",
+                 "//name[contains(@year, \"\")]",
+                 "//author[starts-with(book, \"\")]"});
+
+  workload::AuctionsOptions aopts;
+  aopts.seed = 7;
+  const xml::Document auctions = workload::GenerateAuctions(aopts);
+  auto auctions_stored = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(auctions));
+  const std::vector<std::string> auction_lits = {
+      "50", "120", "\"abc\"", Quoted(auctions, "//auction/itemref")};
+  ExpectViewMatchesPerNode(
+      OpenView(auctions_stored, "auction { itemref bidder { price } }"),
+      OperatorBattery({"//auction[itemref {op} {lit}]",
+                       "//auction[bidder/price {op} {lit}]",
+                       "//auction[bidder//price {op} {lit}]",
+                       "//bidder[price {op} {lit}]"},
+                      auction_lits));
+  ExpectViewMatchesPerNode(
+      OpenView(auctions_stored, "price { bidder { auction } }"),
+      OperatorBattery({"//price[bidder/auction {op} {lit}]",
+                       "//bidder[auction {op} {lit}]",
+                       "//price[text() {op} {lit}]"},
+                      auction_lits));
+}
+
+/// How many rows of the value column of the vtype labelled \p label
+/// satisfy `value op literal`.
+size_t MatchingRowCount(const virt::VirtualDocument& v, std::string_view label,
+                        CompareOp op, double literal) {
+  const std::vector<vdg::VTypeId> types = v.vguide().FindByLabel(label);
+  EXPECT_EQ(types.size(), 1u);
+  const idx::TypeColumn* col = v.ValueColumn(types.at(0));
+  EXPECT_NE(col, nullptr);
+  Expr lit;
+  lit.kind = Expr::Kind::kNumber;
+  lit.num = literal;
+  return CollectMatchingRows(*col, op, MakeLiteral(lit), nullptr).size();
+}
+
+// `//auction/bidder[price > N]` tests each auction's bidders in a call of
+// its own. The witness side (the matching price rows) is built at most
+// once per execution, however many calls read it and at any thread count:
+// a build per call would count the matching rows once per auction.
+TEST(ValueIndexPropertyTest, ViewPredicateCollectsWitnessesAtMostOnce) {
+  workload::AuctionsOptions opts;
+  opts.seed = 7;
+  const xml::Document doc = workload::GenerateAuctions(opts);
+  auto stored = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(doc));
+  const auto v = OpenView(stored, "auction { itemref bidder { price } }");
+  const size_t auctions = stored->NodeIdsOfType(
+      v->vguide().original(v->vguide().FindByLabel("auction").at(0))).size();
+  ASSERT_GT(auctions, 100u);
+
+  // Nearly every price matches: each small call declines to per-node.
+  const size_t matching = MatchingRowCount(*v, "price", CompareOp::kGt, 10);
+  ASSERT_GT(matching, auctions);
+  const uint64_t wide =
+      ExpectViewMatchesPerNode(v, {"//auction/bidder[price > 10]"});
+  EXPECT_LE(wide, 3 * matching);  // three runs: 1, 2 and 8 threads
+
+  // A selective bound (about the top 2% of prices): the witness side is
+  // small, so every call merges against it, and it is still collected
+  // once per run.
+  auto prices = EvalNav(doc, "//price");
+  ASSERT_TRUE(prices.ok());
+  std::vector<int> values;
+  for (xml::NodeId id : *prices) {
+    values.push_back(std::stoi(doc.StringValue(id)));
+  }
+  std::sort(values.begin(), values.end());
+  const int bound = values[values.size() - values.size() / 50 - 1];
+  const size_t selective =
+      MatchingRowCount(*v, "price", CompareOp::kGt, bound);
+  ASSERT_GT(selective, 0u);
+  const uint64_t narrow = ExpectViewMatchesPerNode(
+      v, {"//auction/bidder[price > " + std::to_string(bound) + "]"});
+  EXPECT_EQ(narrow, 3 * selective);
+}
+
+// A predicate call over a handful of bidders never pays for the whole
+// matching column: the cost model sends it to the per-node path.
+TEST(ValueIndexPropertyTest, ViewPredicateSmallContextDoesNotCollectTheColumn) {
+  workload::AuctionsOptions opts;
+  opts.seed = 7;
+  const xml::Document doc = workload::GenerateAuctions(opts);
+  auto stored = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(doc));
+  const auto v = OpenView(stored, "auction { itemref bidder { price } }");
+  const std::string path = "//auction[itemref = " +
+                           Quoted(doc, "//auction/itemref/text()") +
+                           "]/bidder[price > 10]";
+  const size_t matching = MatchingRowCount(*v, "price", CompareOp::kGt, 10);
+  QueryEngine engine(v);
+  auto r = engine.Execute(path, {.collect_stats = true});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_GT(r->size(), 0u);
+  EXPECT_LT(r->stats().value_index_postings, matching);
+  ExpectViewMatchesPerNode(v, {path});
 }
 
 // The pushdown must actually run, not just agree: selective equality on a

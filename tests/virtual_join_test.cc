@@ -254,12 +254,11 @@ TEST(VirtualJoinTest, KernelMatchesPredicateBruteForce) {
         std::vector<std::pair<size_t, size_t>> brute;
         std::vector<virt::VirtualNode> tops = vdoc.NodesOfVType(top);
         std::vector<virt::VirtualNode> bots = vdoc.NodesOfVType(bottom);
+        std::vector<uint32_t> xbuf, ybuf;
         for (size_t xi = 0; xi < tops.size(); ++xi) {
-          virt::Vpbn xv = vdoc.VpbnOf(tops[xi]);
-          virt::VpbnView xview(xv);
+          const virt::VpbnView xview = vdoc.VpbnOf(tops[xi], &xbuf);
           for (size_t yi = 0; yi < bots.size(); ++yi) {
-            virt::Vpbn yv = vdoc.VpbnOf(bots[yi]);
-            virt::VpbnView yview(yv);
+            const virt::VpbnView yview = vdoc.VpbnOf(bots[yi], &ybuf);
             if (space.VDescendant(yview, xview)) brute.emplace_back(xi, yi);
             ++pairs_tested;
           }
