@@ -1,15 +1,12 @@
 /// \file bench_e13_ingest.cc
 /// \brief E13: the ingest pipeline and full-index snapshots. Reports the
-/// cold-start path stage by stage — parse, phased build at 1/2/4/8
-/// threads, snapshot write, snapshot load — and the end-to-end first-query
-/// latency from XML vs from a snapshot, on the XMark-style auctions
-/// workload.
+/// cold-start path stage by stage — parse, build, snapshot write, snapshot
+/// load — and the end-to-end first-query latency from XML vs from a
+/// snapshot, on the XMark-style auctions workload.
 ///
-/// The parallel builds are asserted byte-identical to the sequential one
-/// (via the snapshot encoding) before anything is timed, so the numbers
-/// always describe equivalent work. Emits a table to stdout and a JSON
-/// record with per-stage medians, the 4-thread build speedup, and the
-/// snapshot-load speedup over parse+build.
+/// Both cold starts must answer the first query with the same hit count.
+/// Emits a table to stdout and a JSON record with per-stage medians and
+/// the snapshot-load speedup over parse+build.
 ///
 ///   $ ./bench_e13_ingest [num_auctions] [out.json]
 ///       [--benchmark_min_time=0.01s]
@@ -22,10 +19,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "query/engine.h"
 #include "storage/snapshot.h"
 #include "storage/stored_document.h"
@@ -76,17 +73,6 @@ int main(int argc, char** argv) {
   storage::StoredDocument stored = storage::StoredDocument::Build(doc);
   std::string snap = storage::Snapshot::Write(stored);
 
-  // Correctness gate: every parallel build must reproduce the sequential
-  // bytes before its timing means anything.
-  for (int threads : {2, 4, 8}) {
-    common::ThreadPool pool(threads);
-    if (storage::Snapshot::Write(storage::StoredDocument::Build(
-            doc, &pool)) != snap) {
-      std::fprintf(stderr, "MISMATCH: %d-thread build differs\n", threads);
-      return 1;
-    }
-  }
-
   std::printf(
       "E13 — ingest pipeline and snapshots (auctions, %zu nodes, "
       "%d auctions; xml %zu bytes, snapshot %zu bytes)\n\n",
@@ -99,18 +85,8 @@ int main(int argc, char** argv) {
     if (!r.ok()) std::abort();
   });
 
-  const int kThreads[] = {1, 2, 4, 8};
-  double build_ms[4] = {0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
-    if (kThreads[i] == 1) {
-      build_ms[i] = bench::MedianMs(
-          reps, [&] { storage::StoredDocument::Build(doc); });
-    } else {
-      common::ThreadPool pool(kThreads[i]);
-      build_ms[i] = bench::MedianMs(
-          reps, [&] { storage::StoredDocument::Build(doc, &pool); });
-    }
-  }
+  double build_ms =
+      bench::MedianMs(reps, [&] { storage::StoredDocument::Build(doc); });
 
   double write_ms =
       bench::MedianMs(reps, [&] { storage::Snapshot::Write(stored); });
@@ -142,18 +118,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  double build_speedup_4t = build_ms[2] > 0 ? build_ms[0] / build_ms[2] : 0;
-  double load_speedup =
-      load_ms > 0 ? (parse_ms + build_ms[0]) / load_ms : 0;
+  double load_speedup = load_ms > 0 ? (parse_ms + build_ms) / load_ms : 0;
 
   bench::Table table({"stage", "ms", "vs baseline"});
   table.AddRow({"parse", Fmt(parse_ms), ""});
-  table.AddRow({"build 1T", Fmt(build_ms[0]), "1.00x"});
-  table.AddRow({"build 2T", Fmt(build_ms[1]),
-                Fmt(build_ms[1] > 0 ? build_ms[0] / build_ms[1] : 0, 2) + "x"});
-  table.AddRow({"build 4T", Fmt(build_ms[2]), Fmt(build_speedup_4t, 2) + "x"});
-  table.AddRow({"build 8T", Fmt(build_ms[3]),
-                Fmt(build_ms[3] > 0 ? build_ms[0] / build_ms[3] : 0, 2) + "x"});
+  table.AddRow({"build", Fmt(build_ms), ""});
   table.AddRow({"snapshot write", Fmt(write_ms), ""});
   table.AddRow({"snapshot load", Fmt(load_ms),
                 Fmt(load_speedup, 2) + "x vs parse+build"});
@@ -176,13 +145,12 @@ int main(int argc, char** argv) {
       out,
       "{\n"
       "  \"experiment\": \"e13_ingest\",\n"
+      "  \"hw_threads\": %u,\n"
       "  \"workload\": {\"nodes\": %zu, \"auctions\": %d, "
       "\"xml_bytes\": %zu, \"snapshot_bytes\": %zu},\n"
       "  \"reps\": %d,\n"
       "  \"parse_ms\": %.4f,\n"
-      "  \"build_ms\": {\"1\": %.4f, \"2\": %.4f, \"4\": %.4f, "
-      "\"8\": %.4f},\n"
-      "  \"build_speedup_4t\": %.3f,\n"
+      "  \"build_ms\": %.4f,\n"
       "  \"snapshot_write_ms\": %.4f,\n"
       "  \"snapshot_load_ms\": %.4f,\n"
       "  \"snapshot_load_speedup\": %.3f,\n"
@@ -190,10 +158,11 @@ int main(int argc, char** argv) {
       "  \"first_query_snapshot_ms\": %.4f,\n"
       "  \"first_query_hits\": %zu\n"
       "}\n",
+      std::thread::hardware_concurrency(),
       static_cast<size_t>(doc.num_nodes()), opts.num_auctions,
-      xml_text.size(), snap.size(), reps, parse_ms, build_ms[0], build_ms[1],
-      build_ms[2], build_ms[3], build_speedup_4t, write_ms, load_ms,
-      load_speedup, first_query_xml_ms, first_query_snap_ms, xml_hits);
+      xml_text.size(), snap.size(), reps, parse_ms, build_ms, write_ms,
+      load_ms, load_speedup, first_query_xml_ms, first_query_snap_ms,
+      xml_hits);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   aopts.num_people = smoke ? 50 : 150;
   aopts.num_auctions = smoke ? 150 : 1500;
 
-  server::Catalog catalog({.threads = 1});  // per-query budget: see below
+  server::Catalog catalog;
   {
     Status s = catalog.AddDocumentXml(
         "books", xml::SerializeDocument(workload::GenerateBooks(bopts)));

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   // the same bytes and agree on the probe query.
   size_t probe_hits = 0;
   {
-    auto from_v1 = storage::Snapshot::LoadFile(v1_path, nullptr, false);
-    auto from_v2 = storage::Snapshot::LoadFile(v2_path, nullptr, true);
+    auto from_v1 = storage::Snapshot::LoadFile(v1_path, false);
+    auto from_v2 = storage::Snapshot::LoadFile(v2_path, true);
     if (!from_v1.ok() || !from_v2.ok()) {
       std::fprintf(stderr, "load failed\n");
       return 1;
@@ -116,22 +116,22 @@ int main(int argc, char** argv) {
   // from the format win. First-touch decode is charged where a workload
   // pays it: the first-query medians below run a real query after load.
   double v1_copy_ms = bench::MedianMs(reps, [&] {
-    auto r = storage::Snapshot::LoadFile(v1_path, nullptr, false);
+    auto r = storage::Snapshot::LoadFile(v1_path, false);
     if (!r.ok()) std::abort();
   });
   double v2_copy_ms = bench::MedianMs(reps, [&] {
-    auto r = storage::Snapshot::LoadFile(v2_path, nullptr, false);
+    auto r = storage::Snapshot::LoadFile(v2_path, false);
     if (!r.ok()) std::abort();
   });
   double v2_mmap_ms = bench::MedianMs(reps, [&] {
-    auto r = storage::Snapshot::LoadFile(v2_path, nullptr, true);
+    auto r = storage::Snapshot::LoadFile(v2_path, true);
     if (!r.ok()) std::abort();
   });
 
   // --- First-query latency (load + one real query) --------------------
   auto first_query = [&](const std::string& path, bool mmap) {
     return bench::MedianMs(reps, [&] {
-      auto r = storage::Snapshot::LoadFile(path, nullptr, mmap);
+      auto r = storage::Snapshot::LoadFile(path, mmap);
       if (!r.ok()) std::abort();
       auto s = std::make_shared<const storage::StoredDocument>(
           std::move(*r));

@@ -1,12 +1,8 @@
 /// \file bench_e17_cold_start.cc
 /// \brief E17: cold start of a snapshot large enough to matter — streamed
-/// generation of a ten-million-node auctions corpus, sequential vs pool
-/// build, and the first query against an evicted mmap-loaded snapshot
-/// against the same query warm (pass a smaller scale or a
-/// --benchmark_min_time flag for a smoke run).
-///
-/// The pool build must snapshot to the same bytes as the sequential build
-/// before anything is reported.
+/// generation of a ten-million-node auctions corpus, then the first query
+/// against an evicted mmap-loaded snapshot against the same query warm
+/// (pass a smaller scale or a --benchmark_min_time flag for a smoke run).
 ///
 ///   $ ./bench_e17_cold_start [scale] [out.json]
 ///       [--benchmark_min_time=0.01s]
@@ -14,6 +10,8 @@
 /// \p scale is the XMark-style factor fed to workload::ScaledAuctions
 /// (28 ~= 10M nodes; the smoke default is 0.05).
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "query/engine.h"
 #include "storage/snapshot.h"
 #include "storage/stored_document.h"
@@ -72,41 +69,17 @@ int main(int argc, char** argv) {
   const size_t num_nodes = doc.num_nodes();
   std::fprintf(stderr, "e17: %zu nodes\n", num_nodes);
 
-  // --- Build: sequential vs pool (byte-identity gated) ------------------
-  double build_seq_ms = 0, build_pool_ms = 0;
-  storage::StoredDocument stored;
-  {
-    auto t0 = std::chrono::steady_clock::now();
-    storage::StoredDocument seq = storage::StoredDocument::Build(doc);
-    build_seq_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-    // The reference build borrows `doc` — snapshot it before the owning
-    // build below moves the document out from under it.
-    std::string seq_snap = storage::Snapshot::Write(seq);
-    common::ThreadPool pool(static_cast<int>(hw));
-    t0 = std::chrono::steady_clock::now();
-    storage::StoredDocument par =
-        storage::StoredDocument::Build(std::move(doc), &pool);
-    build_pool_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    if (seq_snap != storage::Snapshot::Write(par)) {
-      std::fprintf(stderr, "MISMATCH: pool build differs from sequential\n");
-      return 1;
-    }
-    stored = std::move(par);
-  }
-  std::fprintf(stderr, "e17: build seq %.0f ms, pool(%u) %.0f ms\n",
-               build_seq_ms, hw, build_pool_ms);
-
   // --- Snapshot + cold/warm mmap residency ------------------------------
   const std::string snap_path = "/tmp/bench_e17.vpsn";
-  if (!storage::Snapshot::WriteFile(stored, snap_path).ok()) {
-    std::fprintf(stderr, "cannot write %s\n", snap_path.c_str());
-    return 1;
+  {
+    const storage::StoredDocument stored =
+        storage::StoredDocument::Build(std::move(doc));
+    if (!storage::Snapshot::WriteFile(stored, snap_path).ok()) {
+      std::fprintf(stderr, "cannot write %s\n", snap_path.c_str());
+      return 1;
+    }
   }
-  auto loaded = storage::Snapshot::LoadFile(snap_path, nullptr, true);
+  auto loaded = storage::Snapshot::LoadFile(snap_path, /*use_mmap=*/true);
   if (!loaded.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  loaded.status().ToString().c_str());
@@ -143,9 +116,6 @@ int main(int argc, char** argv) {
   std::printf("E17 — cold start (auctions scale %.3g, %zu nodes, %u hw "
               "threads)\n\n",
               scale, num_nodes, hw);
-  std::printf("build: seq %.1f ms, pool(%u) %.1f ms (%.2fx)\n",
-              build_seq_ms, hw, build_pool_ms,
-              build_pool_ms > 0 ? build_seq_ms / build_pool_ms : 0);
   std::printf("snapshot %zu B; mmap residency: after load %zu B, evicted "
               "%zu B, after query %zu B\n",
               snapshot_bytes, resident_after_load, resident_cold,
@@ -164,11 +134,6 @@ int main(int argc, char** argv) {
                "  \"workload\": {\"generator\": \"auctions\", \"scale\": "
                "%.4f, \"nodes\": %zu, \"hw_threads\": %u},\n",
                scale, num_nodes, hw);
-  std::fprintf(out,
-               "  \"build\": {\"seq_ms\": %.2f, \"pool_ms\": %.2f, "
-               "\"speedup\": %.3f, \"byte_identical\": true},\n",
-               build_seq_ms, build_pool_ms,
-               build_pool_ms > 0 ? build_seq_ms / build_pool_ms : 0);
   std::fprintf(out,
                "  \"mmap\": {\"snapshot_bytes\": %zu, "
                "\"resident_after_load\": %zu, \"resident_evicted\": %zu, "

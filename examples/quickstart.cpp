@@ -75,9 +75,9 @@ int main() {
   }
 
   // 4. Query the virtual hierarchy with XPath through the QueryEngine
-  //    facade: Prepare parses and plans once, Execute runs the plan (here
-  //    sequentially; pass {.threads = N} for the parallel engine). author
-  //    is now a *child* of title even though physically it is a sibling.
+  //    facade: Prepare parses and plans once, Execute runs the plan on
+  //    this thread. author is now a *child* of title even though
+  //    physically it is a sibling.
   query::QueryEngine engine(vdoc);
   auto prepared = engine.Prepare("//title[author = \"Knuth\"]");
   if (!prepared.ok()) {

@@ -4,10 +4,6 @@
 
 namespace vpbn::common {
 
-namespace {
-thread_local bool t_in_worker = false;
-}  // namespace
-
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads =
@@ -36,10 +32,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::InWorker() { return t_in_worker; }
-
 void ThreadPool::WorkerLoop() {
-  t_in_worker = true;
   for (;;) {
     std::function<void()> task;
     {

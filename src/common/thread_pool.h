@@ -1,14 +1,13 @@
 /// \file thread_pool.h
-/// \brief A small fixed-size thread pool for intra-query parallelism.
+/// \brief A small fixed-size thread pool: the vpbnd connection workers.
 ///
 /// The pool is deliberately minimal: a shared FIFO of type-erased tasks,
-/// N worker threads, blocking shutdown in the destructor. Query execution
-/// (query/engine.h) owns one pool per engine and threads it through the
-/// evaluators via ExecContext; nothing in this repository spawns threads
-/// anywhere else, so thread-count budgeting stays in one place.
+/// N worker threads, blocking shutdown in the destructor. The server
+/// (server/server.h) owns one and hands each accepted connection to it.
+/// A query, a build and a snapshot load each run on the thread that calls
+/// them; concurrency comes only from several callers at once.
 ///
-/// Tasks must not throw — higher-level fork/join helpers (parallel.h)
-/// capture exceptions per task and rethrow them on the joining thread.
+/// Tasks must not throw.
 
 #pragma once
 
@@ -39,11 +38,6 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// True when the calling thread is a worker of *any* ThreadPool. Fork/join
-  /// helpers use this to run nested parallel regions inline instead of
-  /// re-submitting (which could deadlock a fully busy pool).
-  static bool InWorker();
 
  private:
   void WorkerLoop();

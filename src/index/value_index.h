@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "dataguide/dataguide.h"
 #include "xml/document.h"
 
@@ -205,15 +204,13 @@ class ValueIndex {
   /// Builds columns for every covered type of \p guide and attribute
   /// columns for every attribute name that occurs on an element type.
   /// \p nodes_by_type[t] lists the instances of type t in document order
-  /// (StoredDocument's type_node_index). With a pool, the per-row
-  /// string-values (the subtree walks that dominate build time) are
-  /// computed in parallel per type; interning stays sequential in type
-  /// order so term ids — and therefore the whole index — are byte-identical
-  /// to the single-threaded build.
+  /// (StoredDocument's type_node_index). Terms are interned in one
+  /// canonical order — type by type, the covered column's row values
+  /// first, then the attribute values row by row — so term ids depend only
+  /// on the document. Only one type's values are held at a time.
   static ValueIndex Build(
       const xml::Document& doc, const dg::DataGuide& guide,
-      const std::vector<std::vector<xml::NodeId>>& nodes_by_type,
-      common::ThreadPool* pool = nullptr);
+      const std::vector<std::vector<xml::NodeId>>& nodes_by_type);
 
   /// Whether \p t is covered per the guide: a text type, or an element type
   /// whose guide children are all text types.

@@ -108,17 +108,13 @@ bool PackedCheckAxis(Axis axis, const PackedPbnRef& x, const PackedPbnRef& y) {
   return false;
 }
 
-void PackedPbnList::FinishAppend(uint32_t num_components) {
+void PackedPbnList::Append(const Pbn& pbn) {
+  const uint32_t begin = static_cast<uint32_t>(arena_.size());
+  EncodeOrdered(pbn, &arena_);
   offsets_.push_back(static_cast<uint32_t>(arena_.size()));
-  lengths_.push_back(num_components);
-  uint32_t begin = offsets_[offsets_.size() - 2];
+  lengths_.push_back(static_cast<uint32_t>(pbn.length()));
   keys_.push_back(PackedPbnRef::ComputeKey(
       arena_.data() + begin, static_cast<uint32_t>(arena_.size()) - begin));
-}
-
-void PackedPbnList::Append(const Pbn& pbn) {
-  EncodeOrdered(pbn, &arena_);
-  FinishAppend(static_cast<uint32_t>(pbn.length()));
 }
 
 void PackedPbnList::Append(const PackedPbnRef& ref) {
@@ -126,30 +122,6 @@ void PackedPbnList::Append(const PackedPbnRef& ref) {
   offsets_.push_back(static_cast<uint32_t>(arena_.size()));
   lengths_.push_back(ref.length());
   keys_.push_back(ref.key());
-}
-
-void PackedPbnList::AppendPrefix(const PackedPbnRef& ref, size_t n) {
-  uint32_t bytes = ref.PrefixByteSize(n);
-  arena_.append(ref.data(), bytes);
-  arena_.push_back('\0');
-  FinishAppend(static_cast<uint32_t>(n));
-}
-
-void PackedPbnList::AppendSlice(const PackedPbnList& other, size_t first,
-                                size_t last) {
-  if (first >= last) return;
-  const uint32_t lo = other.offsets_[first];
-  const uint32_t hi = other.offsets_[last];
-  const uint32_t base = static_cast<uint32_t>(arena_.size());
-  arena_.append(other.arena_.data() + lo, hi - lo);
-  offsets_.reserve(offsets_.size() + (last - first));
-  for (size_t i = first + 1; i <= last; ++i) {
-    offsets_.push_back(base + (other.offsets_[i] - lo));
-  }
-  lengths_.insert(lengths_.end(), other.lengths_.begin() + first,
-                  other.lengths_.begin() + last);
-  keys_.insert(keys_.end(), other.keys_.begin() + first,
-               other.keys_.begin() + last);
 }
 
 std::vector<Pbn> PackedPbnList::MaterializeAll() const {

@@ -262,15 +262,6 @@ class PackedPbnList {
   /// arena).
   void Append(const PackedPbnRef& ref);
 
-  /// Append the first \p n components of \p ref (its ancestor at depth n).
-  void AppendPrefix(const PackedPbnRef& ref, size_t n);
-
-  /// Append rows [first, last) of \p other in one arena memcpy plus three
-  /// column copies — the bulk path behind Build's segment stitching, where
-  /// per-element Append would re-touch every byte. \p other must not alias
-  /// this list.
-  void AppendSlice(const PackedPbnList& other, size_t first, size_t last);
-
   /// Materialize element \p i as a heap Pbn.
   Pbn Materialize(size_t i) const { return (*this)[i].Materialize(); }
 
@@ -338,10 +329,6 @@ class PackedPbnList {
                             PackedPbnList* out);
   friend Status DecodeBlockScalar(std::string_view payload, size_t entries,
                                   PackedPbnList* out);
-
-  /// Record the element whose encoding now ends the arena (the last
-  /// offsets_ entry must already be pushed).
-  void FinishAppend(uint32_t num_components);
 
   std::string arena_;
   std::vector<uint32_t> offsets_;  // size() + 1 entries; offsets_[0] == 0

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "pbn/packed.h"
 #include "pbn/pbn.h"
 
@@ -41,29 +40,6 @@ std::vector<JoinPair> AncestorDescendantJoin(
 std::vector<JoinPair> ParentChildJoin(const std::vector<Pbn>& parents,
                                       const std::vector<Pbn>& children);
 
-/// \brief Inputs below this many descendants always take the sequential
-/// O(|A| + |D| + |out|) stack-tree path, even when a pool is supplied —
-/// chunking overhead would dominate.
-inline constexpr size_t kParallelJoinCutoff = 2048;
-
-/// \name Partitioned parallel joins
-///
-/// Same contract and byte-identical output as the sequential variants. The
-/// sorted descendant list is split into contiguous chunks; each chunk joins
-/// independently against the binary-searched slice of the ancestor list that
-/// can reach it (the enclosing ancestors of a chunk's first descendant are
-/// exactly its PBN prefixes, found by binary search), and the per-chunk
-/// outputs concatenate in document order. Sequential when \p pool is null,
-/// single-threaded, or the input is below kParallelJoinCutoff.
-/// @{
-std::vector<JoinPair> AncestorDescendantJoin(const std::vector<Pbn>& ancestors,
-                                             const std::vector<Pbn>& descendants,
-                                             common::ThreadPool* pool);
-std::vector<JoinPair> ParentChildJoin(const std::vector<Pbn>& parents,
-                                      const std::vector<Pbn>& children,
-                                      common::ThreadPool* pool);
-/// @}
-
 /// \brief Work counters for the packed joins, so ExecStats can report how
 /// many axis decisions and arena bytes a join actually touched. Each join
 /// call accumulates into the struct when non-null.
@@ -73,14 +49,6 @@ struct JoinCounters {
   uint64_t vjoin_pairs = 0;     ///< pairs emitted by virtual merge joins
   uint64_t decoded_batches = 0; ///< arenas batch-decoded into flat columns
   uint64_t block_skips = 0;     ///< kPbnBlockEntries blocks skipped wholesale
-
-  void Add(const JoinCounters& o) {
-    comparisons += o.comparisons;
-    bytes_compared += o.bytes_compared;
-    vjoin_pairs += o.vjoin_pairs;
-    decoded_batches += o.decoded_batches;
-    block_skips += o.block_skips;
-  }
 };
 
 /// \name Block-skipping toggle.
@@ -98,20 +66,15 @@ bool JoinBlockSkippingEnabled();
 ///
 /// Same contract and byte-identical JoinPair output as the vector variants,
 /// but streaming over the contiguous arenas of PackedPbnList: every axis
-/// decision is a memcmp over encoded bytes and the chunk-seeding binary
-/// search of the parallel variant is a memcmp bsearch over the offset
-/// column. Sequential when \p pool is null/single-threaded or the input is
-/// below kParallelJoinCutoff. Pool and counters are explicit (no defaults)
-/// so brace-initialized vector calls never overload-clash with the vector
-/// variants; pass nullptr for either.
+/// decision is a memcmp over encoded bytes. \p counters is explicit (no
+/// default) so brace-initialized vector calls never overload-clash with
+/// the vector variants; pass nullptr to count nothing.
 /// @{
 std::vector<JoinPair> AncestorDescendantJoin(const PackedPbnList& ancestors,
                                              const PackedPbnList& descendants,
-                                             common::ThreadPool* pool,
                                              JoinCounters* counters);
 std::vector<JoinPair> ParentChildJoin(const PackedPbnList& parents,
                                       const PackedPbnList& children,
-                                      common::ThreadPool* pool,
                                       JoinCounters* counters);
 /// @}
 

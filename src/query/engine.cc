@@ -1,10 +1,8 @@
 #include "query/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <thread>
 
 #include "common/str_util.h"
 #include "query/cost_model.h"
@@ -32,7 +30,6 @@ const char* PlanKindToString(PlanKind plan) {
 
 std::string ExecStats::ToString() const {
   std::string out = "plan=" + std::string(plan) +
-                    " threads=" + std::to_string(threads) +
                     " wall_ms=" + std::to_string(wall_ms) +
                     " ingest_ms=" + std::to_string(ingest_ms) +
                     " snapshot_load=" + (snapshot_load ? "1" : "0") +
@@ -70,8 +67,6 @@ std::string ExecStats::ToJson() const {
     out += buf;
   };
   out += "\"plan\":\"" + JsonEscape(plan) + "\",";
-  std::snprintf(buf, sizeof(buf), "\"threads\":%d,", threads);
-  out += buf;
   std::snprintf(buf, sizeof(buf), "\"wall_ms\":%.6f,", wall_ms);
   out += buf;
   std::snprintf(buf, sizeof(buf), "\"ingest_ms\":%.6f,", ingest_ms);
@@ -135,7 +130,6 @@ ExecOptions QueryEngine::default_options() const {
 ExecOptions QueryEngine::EffectiveOptions(
     const ExecOverrides& overrides) const {
   ExecOptions effective = default_options();
-  if (overrides.threads) effective.threads = *overrides.threads;
   if (overrides.collect_stats) {
     effective.collect_stats = *overrides.collect_stats;
   }
@@ -224,19 +218,6 @@ size_t QueryEngine::plan_cache_size() const {
   return lru_.size();
 }
 
-common::ThreadPool* QueryEngine::PoolFor(int threads) const {
-  if (threads == 0) {
-    threads =
-        std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (threads <= 1) return nullptr;
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_ == nullptr || pool_->num_threads() != threads) {
-    pool_ = std::make_unique<common::ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
 Result<QueryResult> QueryEngine::Execute(const PreparedQuery& query,
                                          const ExecOverrides& overrides) const {
   return ExecuteResolved(query, EffectiveOptions(overrides));
@@ -256,8 +237,7 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
         std::to_string(engine_id_) + " epoch " + std::to_string(epoch) +
         " stats_epoch " + std::to_string(stats_epoch));
   }
-  common::ThreadPool* pool = PoolFor(options.threads);
-  ExecContext ctx(pool, options.collect_stats);
+  ExecContext ctx(options.collect_stats);
   auto t0 = std::chrono::steady_clock::now();
 
   QueryResult result;
@@ -292,7 +272,6 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
   stats.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-  stats.threads = pool != nullptr ? pool->num_threads() : 1;
   stats.plan = PlanKindToString(query.plan());
   stats.result_nodes = result.size();
   if (stored_ != nullptr) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "common/parallel.h"
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
 #include "query/cost_model.h"
@@ -23,15 +22,6 @@ using xml::NodeId;
 /// and merges all run over arena bytes, and only the final result maps
 /// rows to NodeIds.
 using State = std::map<dg::TypeId, PackedPbnList>;
-
-/// Per-type predicate filtering fans out on the pool only when the
-/// surviving type count reaches this (each task runs a whole relative-chain
-/// evaluation, so even small counts amortize).
-constexpr size_t kParallelPredicateCutoff = 2;
-
-common::ThreadPool* PoolOf(ExecContext* ctx) {
-  return ctx != nullptr ? ctx->pool() : nullptr;
-}
 
 bool TypeMatches(const dg::DataGuide& g, dg::TypeId t, const NodeTest& test) {
   return test.Matches(!g.IsTextType(t), g.label(t));
@@ -78,9 +68,8 @@ std::vector<num::JoinPair> Join(num::Axis axis, const PackedPbnList& ancestors,
   num::JoinCounters jc;
   std::vector<num::JoinPair> pairs =
       axis == num::Axis::kChild
-          ? num::ParentChildJoin(ancestors, descendants, PoolOf(ctx), &jc)
-          : num::AncestorDescendantJoin(ancestors, descendants, PoolOf(ctx),
-                                        &jc);
+          ? num::ParentChildJoin(ancestors, descendants, &jc)
+          : num::AncestorDescendantJoin(ancestors, descendants, &jc);
   if (ctx) {
     ctx->CountJoinPairs(pairs.size());
     ctx->CountComparisons(jc.comparisons, jc.bytes_compared);
@@ -398,12 +387,9 @@ uint64_t EstimatePredCost(const storage::StoredDocument& stored,
 }
 
 /// Applies one step's predicates to every per-type list, cheapest first.
-/// The per-type filters are independent (each anchors at one type and
-/// reads only the immutable indexes and the context's thread-safe caches),
-/// so they fan out on the pool; the filtered map is rebuilt in type order
-/// afterwards, keeping the result identical to the sequential pass. All
-/// predicate forms here are existential, so applying them in selectivity
-/// order changes the work, never the result.
+/// Each per-type filter anchors at one type; types whose list empties drop
+/// out. All predicate forms here are existential, so applying them in
+/// selectivity order changes the work, never the result.
 State ApplyPredicates(const storage::StoredDocument& stored, const Step& step,
                       State state, ExecContext* ctx) {
   std::vector<const Expr*> preds;
@@ -424,42 +410,29 @@ State ApplyPredicates(const storage::StoredDocument& stored, const Step& step,
     ValuePred vp;
     const bool is_value =
         pred->kind != Expr::Kind::kPath && RecognizeValuePred(*pred, &vp);
-    std::vector<std::pair<dg::TypeId, PackedPbnList>> entries(
-        std::make_move_iterator(state.begin()),
-        std::make_move_iterator(state.end()));
-    std::vector<PackedPbnList> kept(entries.size());
-    common::ParallelFor(
-        entries.size() >= kParallelPredicateCutoff ? PoolOf(ctx) : nullptr,
-        entries.size(), /*grain=*/1, [&](size_t b, size_t e) {
-          for (size_t i = b; i < e; ++i) {
-            auto& [t, list] = entries[i];
-            if (list.empty()) continue;
-            if (is_value) {
-              kept[i] = ApplyValuePred(stored, pred, vp, t, list, ctx);
-              continue;
-            }
-            // Evaluate the relative chain anchored at this type.
-            State anchor;
-            anchor.emplace(t, list);
-            State terminal = EvalChain(stored, pred->path, 0,
-                                       std::move(anchor),
-                                       /*from_document=*/false, ctx);
-            // Union of all terminal instances witnesses the predicate.
-            PackedPbnList witnesses;
-            for (auto& [tt, tlist] : terminal) {
-              for (size_t j = 0; j < tlist.size(); ++j) {
-                witnesses.Append(tlist[j]);
-              }
-            }
-            witnesses.SortUnique();
-            kept[i] = SemiJoinAncestors(list, witnesses, ctx);
-          }
-        });
     State filtered;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!kept[i].empty()) {
-        filtered.emplace(entries[i].first, std::move(kept[i]));
+    for (const auto& [t, list] : state) {
+      if (list.empty()) continue;
+      PackedPbnList kept;
+      if (is_value) {
+        kept = ApplyValuePred(stored, pred, vp, t, list, ctx);
+      } else {
+        // Evaluate the relative chain anchored at this type.
+        State anchor;
+        anchor.emplace(t, list);
+        State terminal = EvalChain(stored, pred->path, 0, std::move(anchor),
+                                   /*from_document=*/false, ctx);
+        // Union of all terminal instances witnesses the predicate.
+        PackedPbnList witnesses;
+        for (auto& [tt, tlist] : terminal) {
+          for (size_t j = 0; j < tlist.size(); ++j) {
+            witnesses.Append(tlist[j]);
+          }
+        }
+        witnesses.SortUnique();
+        kept = SemiJoinAncestors(list, witnesses, ctx);
       }
+      if (!kept.empty()) filtered.emplace(t, std::move(kept));
     }
     state = std::move(filtered);
   }

@@ -40,9 +40,7 @@ bool InBulkFragment(const Path& path);
 
 /// \brief Evaluate \p path set-at-a-time. The result is NodeIds in document
 /// order. NotImplemented if the path uses features outside the join
-/// fragment. \p ctx (optional) supplies a thread pool — structural joins are
-/// chunk-partitioned and predicate semi-joins fan out per surviving type —
-/// and collects ExecStats.
+/// fragment. \p ctx (optional) collects ExecStats.
 Result<std::vector<xml::NodeId>> EvalBulk(
     const storage::StoredDocument& stored, const Path& path,
     ExecContext* ctx = nullptr);

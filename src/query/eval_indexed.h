@@ -33,10 +33,6 @@ class IndexedAdapter {
  public:
   using Node = xml::NodeId;
 
-  /// StoredDocument is fully immutable after Build (indexes included), so
-  /// the const interface is safe for concurrent use.
-  static constexpr bool kParallelSafe = true;
-
   /// \p ctx (optional) supplies the stats counters and the per-query
   /// caches the pushdown paths memoize in; a null ctx changes no strategy,
   /// it only leaves those out.
@@ -87,8 +83,7 @@ Result<std::vector<xml::NodeId>> EvalIndexed(
     const storage::StoredDocument& stored, std::string_view path_text);
 
 /// \brief Evaluate a pre-parsed path. The result is in document order. \p
-/// ctx (optional) supplies a thread pool and collects ExecStats (see
-/// query/engine.h).
+/// ctx (optional) collects ExecStats (see query/engine.h).
 Result<std::vector<xml::NodeId>> EvalIndexed(
     const storage::StoredDocument& stored, const Path& path,
     ExecContext* ctx = nullptr);

@@ -22,10 +22,6 @@ class NavAdapter {
  public:
   using Node = xml::NodeId;
 
-  /// Document is immutable and the adapter's own state is built once in the
-  /// constructor, so the const interface is safe for concurrent use.
-  static constexpr bool kParallelSafe = true;
-
   explicit NavAdapter(const xml::Document& doc);
 
   std::vector<Node> DocumentRoots(const NodeTest& test) const;
@@ -50,7 +46,7 @@ Result<std::vector<xml::NodeId>> EvalNav(const xml::Document& doc,
                                          std::string_view path_text);
 
 /// \brief Evaluate a pre-parsed path over \p doc. \p ctx (optional)
-/// supplies a thread pool and collects ExecStats (see query/engine.h).
+/// collects ExecStats (see query/engine.h).
 Result<std::vector<xml::NodeId>> EvalNav(const xml::Document& doc,
                                          const Path& path,
                                          ExecContext* ctx = nullptr);

@@ -44,15 +44,9 @@ class VirtualAdapter {
  public:
   using Node = virt::VirtualNode;
 
-  /// VirtualDocument's only query-local scratch state is the pair of lazy
-  /// caches (reachability bitmaps, decoded columns), which synchronize
-  /// internally (virtual_document.h), so the const interface is safe for
-  /// concurrent use.
-  static constexpr bool kParallelSafe = true;
-
-  /// \p ctx (optional) supplies the thread pool, the MatchingVTypes cache,
-  /// the stats counters and the merge test pin; it must outlive the
-  /// adapter. A null ctx changes no strategy.
+  /// \p ctx (optional) supplies the MatchingVTypes cache, the stats
+  /// counters and the merge test pin; it must outlive the adapter. A null
+  /// ctx changes no strategy.
   explicit VirtualAdapter(const virt::VirtualDocument& vdoc,
                           ExecContext* ctx = nullptr)
       : vdoc_(&vdoc), ctx_(ctx) {}
@@ -170,8 +164,8 @@ class VirtualAdapter {
 Result<std::vector<virt::VirtualNode>> EvalVirtual(
     const virt::VirtualDocument& vdoc, std::string_view path_text);
 
-/// \brief Evaluate a pre-parsed path. \p ctx (optional) supplies a thread
-/// pool and collects ExecStats (see query/engine.h).
+/// \brief Evaluate a pre-parsed path. \p ctx (optional) collects
+/// ExecStats (see query/engine.h).
 Result<std::vector<virt::VirtualNode>> EvalVirtual(
     const virt::VirtualDocument& vdoc, const Path& path,
     ExecContext* ctx = nullptr);

@@ -26,35 +26,17 @@
 #include <chrono>
 #include <cmath>
 #include <concepts>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/result.h"
 #include "index/value_index.h"
 #include "query/exec_context.h"
 #include "query/path_ast.h"
 
 namespace vpbn::query {
-
-/// \brief Minimum context size before a step fans out per-context-node work
-/// onto the ExecContext's pool; below this the task overhead dominates.
-inline constexpr size_t kParallelFanoutCutoff = 16;
-
-/// \brief Whether an adapter declares its const interface safe for
-/// concurrent use (static constexpr bool kParallelSafe). Adapters without
-/// the marker are conservatively evaluated sequentially.
-template <typename Adapter>
-constexpr bool AdapterParallelSafe() {
-  if constexpr (requires { Adapter::kParallelSafe; }) {
-    return Adapter::kParallelSafe;
-  } else {
-    return false;
-  }
-}
 
 /// \brief Whether an adapter offers a whole-context axis evaluation:
 ///
@@ -207,9 +189,8 @@ class PathEvaluator {
  public:
   using Node = typename Adapter::Node;
 
-  /// \p ctx (optional) supplies the thread pool for per-context-node
-  /// fan-out and receives execution statistics; it must outlive the
-  /// evaluator. With a null ctx evaluation is sequential, as before.
+  /// \p ctx (optional) receives execution statistics; it must outlive the
+  /// evaluator.
   explicit PathEvaluator(const Adapter& adapter, ExecContext* ctx = nullptr)
       : adapter_(&adapter), ctx_(ctx) {}
 
@@ -327,12 +308,8 @@ class PathEvaluator {
 
   /// Expands \p step from every node of \p context into \p next. XPath
   /// applies predicates within each context node's axis result — positions
-  /// are relative to that list, so each node filters before merging, which
-  /// is also what makes the fan-out embarrassingly parallel: each context
-  /// node's (axis scan + predicate filter) is independent, and the caller's
-  /// final SortUnique restores document order regardless of completion
-  /// order. Parallel only when the adapter declares its const interface
-  /// thread-safe and the context is large enough to pay for the tasks.
+  /// are relative to that list, so each node filters before merging, and
+  /// the caller's final SortUnique restores document order.
   Status EvalStepOverContext(const Step& step, const std::vector<Node>& context,
                              std::vector<Node>* next) {
     bool batch_declined = false;
@@ -355,33 +332,6 @@ class PathEvaluator {
         return FinishBatchedStep(step, std::move(slots), next);
       }
     }
-    common::ThreadPool* pool = ctx_ != nullptr ? ctx_->pool() : nullptr;
-    if (AdapterParallelSafe<Adapter>() && pool != nullptr &&
-        pool->num_threads() > 1 && context.size() >= kParallelFanoutCutoff &&
-        !common::ThreadPool::InWorker()) {
-      std::vector<std::vector<Node>> slots(context.size());
-      std::mutex error_mu;
-      Status error = Status::OK();
-      common::ParallelFor(
-          pool, context.size(), /*grain=*/4, [&](size_t b, size_t e) {
-            for (size_t i = b; i < e; ++i) {
-              std::vector<Node> axis_result =
-                  adapter_->Axis(context[i], step.axis, step.test);
-              adapter_->SortUnique(&axis_result);
-              ctx_->CountNodes(axis_result.size());
-              auto filtered = ApplyPredicates(step, std::move(axis_result));
-              if (!filtered.ok()) {
-                std::lock_guard<std::mutex> lock(error_mu);
-                if (error.ok()) error = filtered.status();
-                return;
-              }
-              slots[i] = std::move(filtered).ValueUnsafe();
-            }
-          });
-      if (!error.ok()) return error;
-      for (std::vector<Node>& s : slots) Append(next, std::move(s));
-      return Status::OK();
-    }
     for (const Node& n : context) {
       std::vector<Node> axis_result = adapter_->Axis(n, step.axis, step.test);
       adapter_->SortUnique(&axis_result);
@@ -397,35 +347,10 @@ class PathEvaluator {
   /// predicate filtering, then append in context order — the same per-node
   /// pipeline the fallback runs after Axis, so batched and per-node
   /// evaluation are byte-identical. Predicates still see one context
-  /// node's list at a time (positional semantics). Slots fan out on the
-  /// pool exactly like per-node evaluation does.
+  /// node's list at a time (positional semantics).
   Status FinishBatchedStep(const Step& step,
                            std::vector<std::vector<Node>> slots,
                            std::vector<Node>* next) {
-    common::ThreadPool* pool = ctx_ != nullptr ? ctx_->pool() : nullptr;
-    if (AdapterParallelSafe<Adapter>() && pool != nullptr &&
-        pool->num_threads() > 1 && slots.size() >= kParallelFanoutCutoff &&
-        !common::ThreadPool::InWorker()) {
-      std::mutex error_mu;
-      Status error = Status::OK();
-      common::ParallelFor(
-          pool, slots.size(), /*grain=*/4, [&](size_t b, size_t e) {
-            for (size_t i = b; i < e; ++i) {
-              adapter_->SortUnique(&slots[i]);
-              ctx_->CountNodes(slots[i].size());
-              auto filtered = ApplyPredicates(step, std::move(slots[i]));
-              if (!filtered.ok()) {
-                std::lock_guard<std::mutex> lock(error_mu);
-                if (error.ok()) error = filtered.status();
-                return;
-              }
-              slots[i] = std::move(filtered).ValueUnsafe();
-            }
-          });
-      if (!error.ok()) return error;
-      for (std::vector<Node>& s : slots) Append(next, std::move(s));
-      return Status::OK();
-    }
     for (std::vector<Node>& slot : slots) {
       adapter_->SortUnique(&slot);
       if (ctx_) ctx_->CountNodes(slot.size());

@@ -1,12 +1,14 @@
 /// \file exec_context.h
-/// \brief Per-execution state threaded through the evaluators: the thread
-/// pool to fan work out on, and the counters behind ExecStats.
+/// \brief Per-execution state threaded through the evaluators: the counters
+/// behind ExecStats and the per-query caches.
 ///
 /// An ExecContext is owned by one QueryEngine::Execute call (query/engine.h)
-/// and shared by every evaluator frame of that execution, across threads —
-/// counters are atomic, step records are mutex-guarded. A null ExecContext
-/// (the default everywhere) means no pool, no counters and no per-query
-/// caches; the evaluators pick the same strategies either way.
+/// and shared by every evaluator frame of that execution, which runs on the
+/// calling thread. Counters are atomic, step records are mutex-guarded and
+/// Cached builds once per key, so the type stays safe to share should a
+/// caller hand one context to several threads. A null ExecContext (the
+/// default everywhere) means no counters and no per-query caches; the
+/// evaluators pick the same strategies either way.
 
 #pragma once
 
@@ -18,8 +20,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "common/thread_pool.h"
 
 namespace vpbn::query {
 
@@ -55,7 +55,6 @@ struct ExecStats {
   bool snapshot_load = false;      ///< stored substrate came from a snapshot
   uint64_t snapshot_bytes = 0;     ///< on-disk size of that snapshot
   uint64_t mapped_bytes = 0;       ///< bytes of it memory-mapped, not copied
-  int threads = 1;                 ///< thread budget the execution ran with
   std::string plan;                ///< "nav" | "indexed" | "bulk" | "virtual"
   std::vector<StepStats> steps;    ///< per-step timings (top-level path only)
 
@@ -72,10 +71,8 @@ struct ExecStats {
 class ExecContext {
  public:
   ExecContext() = default;
-  ExecContext(common::ThreadPool* pool, bool collect_stats)
-      : pool_(pool), collect_stats_(collect_stats) {}
+  explicit ExecContext(bool collect_stats) : collect_stats_(collect_stats) {}
 
-  common::ThreadPool* pool() const { return pool_; }
   bool collect_stats() const { return collect_stats_; }
 
   /// Test pin (query/eval_virtual.h): make the child / parent / ancestor
@@ -195,7 +192,6 @@ class ExecContext {
   }
 
  private:
-  common::ThreadPool* pool_ = nullptr;
   bool collect_stats_ = false;
   bool force_vjoin_merge_ = false;
   std::atomic<uint64_t> nodes_scanned_{0};

@@ -195,8 +195,7 @@ Result<std::shared_ptr<const CatalogEntry>> Catalog::BuildEntry(
   std::shared_ptr<const storage::StoredDocument> stored;
   switch (source.kind) {
     case DocumentSource::Kind::kSnapshotFile: {
-      auto loaded =
-          storage::Snapshot::LoadFile(source.value, nullptr, use_mmap_);
+      auto loaded = storage::Snapshot::LoadFile(source.value, use_mmap_);
       if (!loaded.ok()) {
         return loaded.status().WithContext("loading snapshot for '" + name +
                                            "'");

@@ -73,8 +73,7 @@ struct CatalogEntry {
 /// registry lock, so a slow reload never blocks lookups.
 class Catalog {
  public:
-  /// \p default_options seeds every engine's SetDefaultOptions (the server
-  /// passes its per-query thread budget and knobs here). \p use_mmap
+  /// \p default_options seeds every engine's SetDefaultOptions. \p use_mmap
   /// selects how `.vpsn` sources load: memory-mapped (the default — v2
   /// snapshots then serve straight from the page cache) or copied.
   explicit Catalog(query::ExecOptions default_options = {},

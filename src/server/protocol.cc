@@ -1,7 +1,5 @@
 #include "server/protocol.h"
 
-#include <cstdlib>
-
 #include "common/str_util.h"
 
 namespace vpbn::server {
@@ -22,17 +20,6 @@ std::string_view NextToken(std::string_view line, size_t* pos) {
 Status ParseQueryOption(std::string_view token, query::ExecOverrides* out) {
   if (token == "--stats") {
     out->collect_stats = true;
-    return Status::OK();
-  }
-  constexpr std::string_view kThreads = "--threads=";
-  if (StartsWith(token, kThreads)) {
-    std::string arg(token.substr(kThreads.size()));
-    char* end = nullptr;
-    long n = std::strtol(arg.c_str(), &end, 10);
-    if (arg.empty() || *end != '\0' || n < 0 || n > 4096) {
-      return Status::ParseError("bad --threads value '" + arg + "'");
-    }
-    out->threads = static_cast<int>(n);
     return Status::OK();
   }
   return Status::ParseError("unknown QUERY option '" + std::string(token) +

@@ -14,10 +14,9 @@
 /// QUERY options (each a per-request override merged over the engine's
 /// defaults — query/engine.h ExecOverrides):
 ///
-///   --threads=N          thread budget (0 = hardware concurrency)
 ///   --stats              attach the full ExecStats object to the response
 ///
-/// Neither option changes the answer.
+/// No option changes the answer.
 ///
 /// Every response is exactly one JSON object on one line, and always leads
 /// with `"code"` — the wire value of query::ErrorCode (0 ok, 1 parse,

@@ -39,9 +39,9 @@ class ResultCache {
   /// \p capacity 0 disables caching (every Get misses, Put drops).
   explicit ResultCache(size_t capacity) : capacity_(capacity) {}
 
-  /// The canonical cache key. No QUERY option changes an answer (threads
-  /// and collect_stats change only how a query runs), so options take no
-  /// part and requests differing only in them share an entry.
+  /// The canonical cache key. No QUERY option changes an answer
+  /// (`--stats` changes only what the response reports), so options take
+  /// no part and requests differing only in them share an entry.
   static std::string Key(const std::string& doc, const std::string& view,
                          const std::string& path, uint64_t epoch);
 

@@ -2,10 +2,10 @@
 /// \brief vpbnd: the long-running concurrent query server over a Catalog.
 ///
 /// Architecture: a tiny accept loop (one thread) hands each accepted
-/// connection to a worker drawn from a common::ThreadPool — the same pool
-/// type the query engine fans intra-query work out on, so thread budgeting
-/// stays in one abstraction. Workers speak the newline-delimited protocol
-/// (server/protocol.h): read a line, dispatch, write one JSON line back.
+/// connection to a worker drawn from a common::ThreadPool. Workers speak
+/// the newline-delimited protocol (server/protocol.h): read a line,
+/// dispatch, write one JSON line back. Each request runs on its worker's
+/// thread; the workers are the only concurrency in the server.
 ///
 /// The full request path for QUERY:
 ///

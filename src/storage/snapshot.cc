@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/compress.h"
 #include "common/hash.h"
-#include "common/parallel.h"
 #include "common/varint.h"
 #include "index/value_index.h"
 #include "pbn/packed.h"
@@ -258,14 +254,12 @@ size_t MatchOrderedComponent(const char* p, size_t avail, uint32_t v) {
 // terminator. Every node is either a root or a child of exactly one
 // parent, so the two loops together check every number — uniqueness,
 // agreement with the tree, and document order of each list (FromArena
-// already enforced strict byte order) all follow. The per-parent checks
-// are independent, so they fan out on the pool.
+// already enforced strict byte order) all follow.
 Status ValidateCanonicalNumbers(
     const xml::Document& doc, const dg::DataGuide& guide,
     const std::vector<dg::TypeId>& node_types,
     const std::vector<uint32_t>& node_rows,
-    const std::vector<num::PackedPbnList>& packed,
-    common::ThreadPool* pool) {
+    const std::vector<num::PackedPbnList>& packed) {
   auto ref_of = [&](xml::NodeId id) {
     return packed[node_types[id]][node_rows[id]];
   };
@@ -284,42 +278,30 @@ Status ValidateCanonicalNumbers(
           "snapshot: root number is not canonical");
     }
   }
-  std::mutex mu;
-  Status first_error;
-  common::ParallelFor(
-      pool, doc.num_nodes(), 2048, [&](size_t lo, size_t hi) {
-        for (size_t id = lo; id < hi; ++id) {
-          num::PackedPbnRef parent = ref_of(static_cast<xml::NodeId>(id));
-          const size_t ps = parent.size_bytes();
-          uint32_t ordinal = 0;
-          for (xml::NodeId c :
-               xml::ChildRange(doc, static_cast<xml::NodeId>(id))) {
-            ++ordinal;
-            num::PackedPbnRef child = ref_of(c);
-            bool ok =
-                guide.parent(node_types[c]) == node_types[id] &&
+  for (xml::NodeId id = 0; id < doc.num_nodes(); ++id) {
+    num::PackedPbnRef parent = ref_of(id);
+    const size_t ps = parent.size_bytes();
+    uint32_t ordinal = 0;
+    for (xml::NodeId c : xml::ChildRange(doc, id)) {
+      ++ordinal;
+      num::PackedPbnRef child = ref_of(c);
+      bool ok = guide.parent(node_types[c]) == node_types[id] &&
                 child.length() == parent.length() + 1 &&
                 child.size_bytes() > ps &&
                 std::memcmp(child.data(), parent.data(), ps - 1) == 0;
-            if (ok) {
-              size_t used = MatchOrderedComponent(
-                  child.data() + ps - 1, child.size_bytes() - (ps - 1),
-                  ordinal);
-              ok = used != 0 && ps - 1 + used + 1 == child.size_bytes() &&
-                   child.data()[child.size_bytes() - 1] == '\0';
-            }
-            if (!ok) {
-              std::lock_guard<std::mutex> lock(mu);
-              if (first_error.ok()) {
-                first_error = Status::InvalidArgument(
-                    "snapshot: child number is not canonical");
-              }
-              return;
-            }
-          }
-        }
-      });
-  return first_error;
+      if (ok) {
+        size_t used = MatchOrderedComponent(
+            child.data() + ps - 1, child.size_bytes() - (ps - 1), ordinal);
+        ok = used != 0 && ps - 1 + used + 1 == child.size_bytes() &&
+             child.data()[child.size_bytes() - 1] == '\0';
+      }
+      if (!ok) {
+        return Status::InvalidArgument(
+            "snapshot: child number is not canonical");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -489,14 +471,12 @@ std::string Snapshot::WriteV2(const StoredDocument& sd, bool stats_section) {
   return out;
 }
 
-Result<StoredDocument> Snapshot::Load(std::string_view data,
-                                      common::ThreadPool* pool) {
-  return LoadOwned(data, pool, nullptr, nullptr);
+Result<StoredDocument> Snapshot::Load(std::string_view data) {
+  return LoadOwned(data, nullptr, nullptr);
 }
 
 Result<StoredDocument> Snapshot::LoadOwned(
-    std::string_view full, common::ThreadPool* pool,
-    std::shared_ptr<common::MappedFile> mapping,
+    std::string_view full, std::shared_ptr<common::MappedFile> mapping,
     std::unique_ptr<std::string> buffer) {
   if (full.substr(0, kMagic.size()) != kMagic) {
     return Status::InvalidArgument("snapshot: bad magic");
@@ -506,7 +486,7 @@ Result<StoredDocument> Snapshot::LoadOwned(
   if (version == 1) {
     // A v1 load copies everything out; the mapping/buffer (if any) is
     // dropped, but the on-disk size is still worth reporting.
-    auto loaded = LoadV1(body, pool);
+    auto loaded = LoadV1(body);
     if (loaded.ok()) loaded->snapshot_bytes_ = full.size();
     return loaded;
   }
@@ -516,17 +496,16 @@ Result<StoredDocument> Snapshot::LoadOwned(
       // in-memory v2 load retains its own copy of the bytes.
       buffer = std::make_unique<std::string>(full);
       std::string_view owned = *buffer;
-      return LoadV2(owned, owned.substr(full.size() - body.size()), pool,
-                    nullptr, std::move(buffer));
+      return LoadV2(owned, owned.substr(full.size() - body.size()), nullptr,
+                    std::move(buffer));
     }
-    return LoadV2(full, body, pool, std::move(mapping), std::move(buffer));
+    return LoadV2(full, body, std::move(mapping), std::move(buffer));
   }
   return Status::InvalidArgument("snapshot: unsupported version " +
                                  std::to_string(version));
 }
 
-Result<StoredDocument> Snapshot::LoadV1(std::string_view data,
-                                        common::ThreadPool* pool) {
+Result<StoredDocument> Snapshot::LoadV1(std::string_view data) {
   auto load_start = std::chrono::steady_clock::now();
 
   // Document.
@@ -621,22 +600,14 @@ Result<StoredDocument> Snapshot::LoadV1(std::string_view data,
         "snapshot: type lists do not cover every node");
   }
 
-  // Packed arenas: framing and sortedness re-validated per type,
-  // independently, so they fan out on the pool.
+  // Packed arenas: framing and sortedness re-validated per type.
   out.packed_type_index_.assign(num_types, {});
-  std::vector<Status> type_status(num_types);
-  common::ParallelFor(pool, num_types, 1, [&](size_t lo, size_t hi) {
-    for (size_t t = lo; t < hi; ++t) {
-      Result<num::PackedPbnList> list = num::PackedPbnList::FromArena(
-          std::string(arenas[t]), out.type_node_index_[t].size());
-      if (!list.ok()) {
-        type_status[t] = list.status();
-        continue;
-      }
-      out.packed_type_index_[t] = std::move(list).ValueUnsafe();
-    }
-  });
-  for (const Status& st : type_status) VPBN_RETURN_NOT_OK(st);
+  for (size_t t = 0; t < num_types; ++t) {
+    VPBN_ASSIGN_OR_RETURN(
+        out.packed_type_index_[t],
+        num::PackedPbnList::FromArena(std::string(arenas[t]),
+                                      out.type_node_index_[t].size()));
+  }
 
   // Structural validation: the numbering is the *canonical* numbering of
   // the tree — a root's number is its 1-based forest index, a child's is
@@ -645,18 +616,17 @@ Result<StoredDocument> Snapshot::LoadV1(std::string_view data,
   // check uniqueness (the old, weaker check), verify the packed bytes
   // against the tree directly: prefix-of-parent plus the canonical
   // encoding of the ordinal. This also pins the list order to document
-  // order and rejects non-canonical (padded) component encodings, and it
-  // is per-node independent, so it fans out on the pool. The numbering_
-  // member stays unhydrated; StoredDocument materializes it lazily on
-  // first use.
+  // order and rejects non-canonical (padded) component encodings. The
+  // numbering_ member stays unhydrated; StoredDocument materializes it
+  // lazily on first use.
   VPBN_RETURN_NOT_OK(ValidateCanonicalNumbers(doc, out.guide_,
                                               out.node_types_, out.node_rows_,
-                                              out.packed_type_index_, pool));
+                                              out.packed_type_index_));
   out.numbering_ready_.store(false, std::memory_order_relaxed);
 
   // Value index: dictionary replayed in term-id order, then the covered
-  // columns' postings and numeric rows rebuilt per type on the pool.
-  VPBN_RETURN_NOT_OK(LoadValues(&data, &out, pool));
+  // columns' postings and numeric rows rebuilt per type.
+  VPBN_RETURN_NOT_OK(LoadValues(&data, &out));
   if (!data.empty()) {
     return Status::InvalidArgument("snapshot: trailing bytes");
   }
@@ -670,7 +640,7 @@ Result<StoredDocument> Snapshot::LoadV1(std::string_view data,
 }
 
 Status Snapshot::LoadValues(
-    std::string_view* datap, StoredDocument* outp, common::ThreadPool* pool,
+    std::string_view* datap, StoredDocument* outp,
     std::vector<std::unique_ptr<idx::ColumnStats>>* stats) {
   std::string_view& data = *datap;
   StoredDocument& out = *outp;
@@ -714,23 +684,16 @@ Status Snapshot::LoadValues(
     }
     col_ids[t] = std::move(ids);
   }
-  std::vector<Status> col_status(num_types);
-  common::ParallelFor(pool, num_types, 1, [&](size_t lo, size_t hi) {
-    for (size_t t = lo; t < hi; ++t) {
-      if (col_ids[t] == nullptr) continue;
-      idx::ColumnStats* pre =
-          stats != nullptr && t < stats->size() ? (*stats)[t].get() : nullptr;
-      Result<idx::TypeColumn> col = idx::ValueIndex::ColumnFromTermIds(
-          std::move(*col_ids[t]), dict, pre);
-      if (!col.ok()) {
-        col_status[t] = col.status();
-        continue;
-      }
-      out.value_index_.columns_[t] =
-          std::make_unique<idx::TypeColumn>(std::move(col).ValueUnsafe());
-    }
-  });
-  for (const Status& st : col_status) VPBN_RETURN_NOT_OK(st);
+  for (size_t t = 0; t < num_types; ++t) {
+    if (col_ids[t] == nullptr) continue;
+    idx::ColumnStats* pre =
+        stats != nullptr && t < stats->size() ? (*stats)[t].get() : nullptr;
+    VPBN_ASSIGN_OR_RETURN(idx::TypeColumn col,
+                          idx::ValueIndex::ColumnFromTermIds(
+                              std::move(*col_ids[t]), dict, pre));
+    out.value_index_.columns_[t] =
+        std::make_unique<idx::TypeColumn>(std::move(col));
+  }
   for (size_t t = 0; t < num_types; ++t) {
     VPBN_ASSIGN_OR_RETURN(uint64_t attr_count, GetVarint64(&data));
     if (attr_count > data.size()) {
@@ -764,7 +727,7 @@ Status Snapshot::LoadValues(
 }
 
 Result<StoredDocument> Snapshot::LoadV2(
-    std::string_view full, std::string_view data, common::ThreadPool* pool,
+    std::string_view full, std::string_view data,
     std::shared_ptr<common::MappedFile> mapping,
     std::unique_ptr<std::string> buffer) {
   auto load_start = std::chrono::steady_clock::now();
@@ -831,35 +794,10 @@ Result<StoredDocument> Snapshot::LoadV2(
 
   // Re-derive what v1 stored: the stored text and node ranges, the
   // DataGuide and the node-type column — Build's own phase 1, minus the
-  // numbering pass (the arenas carry every number). With a pool the guide
-  // build runs alongside the serializer, exactly as in Build.
+  // numbering pass (the arenas carry every number).
   out.ranges_.assign(n, {0, 0});
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      !common::ThreadPool::InWorker()) {
-    std::mutex mu;
-    std::condition_variable cv;
-    int pending = 1;
-    std::exception_ptr error;
-    pool->Submit([&] {
-      std::exception_ptr e;
-      try {
-        out.guide_ = dg::DataGuide::Build(doc, &out.node_types_);
-      } catch (...) {
-        e = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (e && !error) error = e;
-      --pending;
-      cv.notify_one();
-    });
-    xml::SerializeForestWithRanges(doc, pool, &out.text_, &out.ranges_);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
-    if (error) std::rethrow_exception(error);
-  } else {
-    out.guide_ = dg::DataGuide::Build(doc, &out.node_types_);
-    xml::SerializeForestWithRanges(doc, nullptr, &out.text_, &out.ranges_);
-  }
+  out.guide_ = dg::DataGuide::Build(doc, &out.node_types_);
+  xml::SerializeForestWithRanges(doc, &out.text_, &out.ranges_);
   const size_t num_types = out.guide_.num_types();
 
   // Phase 2 of Build: rows within each type's instance list, in document
@@ -946,7 +884,7 @@ Result<StoredDocument> Snapshot::LoadV2(
     return Status::InvalidArgument("snapshot: trailing value bytes");
   }
   std::string_view values_cursor = values_raw;
-  VPBN_RETURN_NOT_OK(LoadValues(&values_cursor, &out, pool,
+  VPBN_RETURN_NOT_OK(LoadValues(&values_cursor, &out,
                                 seen[kSectionStats] ? &stats : nullptr));
   if (!values_cursor.empty()) {
     return Status::InvalidArgument("snapshot: trailing bytes");
@@ -985,7 +923,6 @@ Status Snapshot::WriteFile(const StoredDocument& sd, const std::string& path,
 }
 
 Result<StoredDocument> Snapshot::LoadFile(const std::string& path,
-                                          common::ThreadPool* pool,
                                           bool use_mmap) {
   if (use_mmap) {
     auto mapped = common::MappedFile::Open(path);
@@ -995,7 +932,7 @@ Result<StoredDocument> Snapshot::LoadFile(const std::string& path,
     // A v2 document keeps the mapping alive and decodes arenas straight
     // out of it; a v1 load copies everything and drops the mapping on
     // return.
-    return LoadOwned(full, pool, std::move(mf), nullptr);
+    return LoadOwned(full, std::move(mf), nullptr);
   }
   std::ifstream f(path, std::ios::binary);
   if (!f) {
@@ -1007,7 +944,7 @@ Result<StoredDocument> Snapshot::LoadFile(const std::string& path,
     return Status::InvalidArgument("snapshot: read from " + path + " failed");
   }
   std::string_view full = *bytes;
-  return LoadOwned(full, pool, nullptr, std::move(bytes));
+  return LoadOwned(full, nullptr, std::move(bytes));
 }
 
 }  // namespace vpbn::storage

@@ -80,7 +80,6 @@
 
 #include "common/mmap_file.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "storage/stored_document.h"
 
 namespace vpbn::storage {
@@ -104,13 +103,11 @@ class Snapshot {
                            bool stats_section = true);
 
   /// Reconstruct a query-ready StoredDocument. The returned document owns
-  /// its xml::Document; nothing is renumbered or re-indexed. With a pool,
-  /// the per-type restore work fans out — the result is identical for any
-  /// thread count. Fails with InvalidArgument on corrupt or
-  /// version-incompatible input. For v2 input the arena bytes are retained
-  /// in an internal buffer and decoded per type on first touch.
-  static Result<StoredDocument> Load(std::string_view data,
-                                     common::ThreadPool* pool = nullptr);
+  /// its xml::Document; nothing is renumbered or re-indexed. Fails with
+  /// InvalidArgument on corrupt or version-incompatible input. For v2 input
+  /// the arena bytes are retained in an internal buffer and decoded per
+  /// type on first touch.
+  static Result<StoredDocument> Load(std::string_view data);
 
   /// File convenience wrappers around Write/Load. With \p use_mmap (the
   /// default), LoadFile memory-maps the file instead of copying it; a v2
@@ -119,7 +116,6 @@ class Snapshot {
   static Status WriteFile(const StoredDocument& sd, const std::string& path,
                           uint32_t version = kVersion);
   static Result<StoredDocument> LoadFile(const std::string& path,
-                                         common::ThreadPool* pool = nullptr,
                                          bool use_mmap = true);
 
  private:
@@ -130,22 +126,19 @@ class Snapshot {
   /// \p stats, when non-null, holds per-type statistics parsed from a v2
   /// STATS section; covered columns move them in instead of recomputing.
   static Status LoadValues(std::string_view* data, StoredDocument* out,
-                           common::ThreadPool* pool,
                            std::vector<std::unique_ptr<idx::ColumnStats>>*
                                stats = nullptr);
-  static Result<StoredDocument> LoadV1(std::string_view data,
-                                       common::ThreadPool* pool);
+  static Result<StoredDocument> LoadV1(std::string_view data);
   /// Version dispatch over a backing store the caller hands over (mapping
   /// or buffer; both may be null for v1, which copies everything out).
   static Result<StoredDocument> LoadOwned(
-      std::string_view full, common::ThreadPool* pool,
-      std::shared_ptr<common::MappedFile> mapping,
+      std::string_view full, std::shared_ptr<common::MappedFile> mapping,
       std::unique_ptr<std::string> buffer);
   /// \p full is the whole snapshot (for section offsets); \p data is
   /// positioned just past the version varint. Exactly one of \p mapping /
   /// \p buffer backs the lazy arena views of the returned document.
   static Result<StoredDocument> LoadV2(
-      std::string_view full, std::string_view data, common::ThreadPool* pool,
+      std::string_view full, std::string_view data,
       std::shared_ptr<common::MappedFile> mapping,
       std::unique_ptr<std::string> buffer);
 };

@@ -1,13 +1,9 @@
 #include "storage/stored_document.h"
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <exception>
 #include <mutex>
 
 #include "common/compress.h"
-#include "common/parallel.h"
 #include "pbn/codec.h"
 #include "xml/serializer.h"
 
@@ -61,58 +57,18 @@ StoredDocument& StoredDocument::operator=(StoredDocument&& other) noexcept {
   return *this;
 }
 
-StoredDocument StoredDocument::Build(const xml::Document& doc,
-                                     common::ThreadPool* pool) {
+StoredDocument StoredDocument::Build(const xml::Document& doc) {
   auto start = std::chrono::steady_clock::now();
   StoredDocument out;
   out.doc_ = &doc;
   out.ranges_.assign(doc.num_nodes(), {0, 0});
 
   // Phase 1 — serialize / number / DataGuide + type-of-node: three
-  // independent read-only passes over the document. The numbering and guide
-  // passes go to the pool while the serializer runs on the caller thread,
-  // fanning its own subtree chunks into the same pool, so every worker
-  // stays busy. Each pass writes a disjoint member; none reads another's
-  // output.
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      !common::ThreadPool::InWorker()) {
-    std::mutex mu;
-    std::condition_variable cv;
-    int pending = 2;
-    std::exception_ptr error;
-    auto done = [&](std::exception_ptr e) {
-      // Notify under the lock: the joining thread destroys mu/cv as soon as
-      // it observes pending == 0 (same discipline as ParallelFor).
-      std::lock_guard<std::mutex> lock(mu);
-      if (e && !error) error = e;
-      --pending;
-      cv.notify_one();
-    };
-    pool->Submit([&] {
-      try {
-        out.numbering_ = num::Numbering::Number(doc);
-        done(nullptr);
-      } catch (...) {
-        done(std::current_exception());
-      }
-    });
-    pool->Submit([&] {
-      try {
-        out.guide_ = dg::DataGuide::Build(doc, &out.node_types_);
-        done(nullptr);
-      } catch (...) {
-        done(std::current_exception());
-      }
-    });
-    xml::SerializeForestWithRanges(doc, pool, &out.text_, &out.ranges_);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
-    if (error) std::rethrow_exception(error);
-  } else {
-    out.numbering_ = num::Numbering::Number(doc);
-    out.guide_ = dg::DataGuide::Build(doc, &out.node_types_);
-    xml::SerializeForestWithRanges(doc, nullptr, &out.text_, &out.ranges_);
-  }
+  // independent read-only passes over the document, each writing its own
+  // member.
+  out.numbering_ = num::Numbering::Number(doc);
+  out.guide_ = dg::DataGuide::Build(doc, &out.node_types_);
+  xml::SerializeForestWithRanges(doc, &out.text_, &out.ranges_);
 
   // Phase 2 — each node's row within its type's instance list
   // (AssignTypeRows, shared with the v2 snapshot loader).
@@ -121,62 +77,17 @@ StoredDocument StoredDocument::Build(const xml::Document& doc,
 
   // Phase 3 — pack the per-type PBN arenas. The instance lists are already
   // document-ordered, so each arena comes out sorted — what the memcmp
-  // binary searches and packed structural joins rely on — and identical to
-  // the sequential interleaved build. Tasks split per (type, row segment)
-  // rather than per type, so one dominant type (every large real document
-  // has one) cannot serialize the phase; segments encode into scratch lists
-  // stitched back in row order, byte-identical to the straight append.
-  constexpr size_t kPackSegmentRows = 16384;
-  struct PackTask {
-    size_t type;
-    size_t row_lo;
-    size_t row_hi;
-    size_t slot;  // scratch index; contiguous per type, in row order
-  };
-  std::vector<PackTask> tasks;
-  std::vector<size_t> first_slot(out.guide_.num_types() + 1, 0);
+  // binary searches and packed structural joins rely on.
   for (size_t t = 0; t < out.guide_.num_types(); ++t) {
-    first_slot[t] = tasks.size();
-    const size_t rows = out.type_node_index_[t].size();
-    for (size_t lo = 0; lo < rows || (rows == 0 && lo == 0);
-         lo += kPackSegmentRows) {
-      tasks.push_back({t, lo, std::min(rows, lo + kPackSegmentRows),
-                       tasks.size()});
-      if (rows == 0) break;
-    }
+    const std::vector<xml::NodeId>& ids = out.type_node_index_[t];
+    num::PackedPbnList& list = out.packed_type_index_[t];
+    list.Reserve(ids.size());
+    for (xml::NodeId id : ids) list.Append(out.numbering_.OfNode(id));
   }
-  first_slot[out.guide_.num_types()] = tasks.size();
-  std::vector<num::PackedPbnList> scratch(tasks.size());
-  common::ParallelFor(pool, tasks.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const PackTask& task = tasks[i];
-      const std::vector<xml::NodeId>& ids = out.type_node_index_[task.type];
-      num::PackedPbnList& list = scratch[task.slot];
-      list.Reserve(task.row_hi - task.row_lo);
-      for (size_t row = task.row_lo; row < task.row_hi; ++row) {
-        list.Append(out.numbering_.OfNode(ids[row]));
-      }
-    }
-  });
-  common::ParallelFor(
-      pool, out.guide_.num_types(), 1, [&](size_t lo, size_t hi) {
-        for (size_t t = lo; t < hi; ++t) {
-          num::PackedPbnList& list = out.packed_type_index_[t];
-          if (first_slot[t + 1] - first_slot[t] == 1) {
-            list = std::move(scratch[first_slot[t]]);
-            continue;
-          }
-          list.Reserve(out.type_node_index_[t].size());
-          for (size_t s = first_slot[t]; s < first_slot[t + 1]; ++s) {
-            list.AppendSlice(scratch[s], 0, scratch[s].size());
-          }
-        }
-      });
 
-  // Phase 4 — value-index columns (parallel string-value computation,
-  // sequential canonical interning inside).
+  // Phase 4 — value-index columns.
   out.value_index_ =
-      idx::ValueIndex::Build(doc, out.guide_, out.type_node_index_, pool);
+      idx::ValueIndex::Build(doc, out.guide_, out.type_node_index_);
 
   out.ingest_ms_ =
       std::chrono::duration<double, std::milli>(
@@ -185,10 +96,9 @@ StoredDocument StoredDocument::Build(const xml::Document& doc,
   return out;
 }
 
-StoredDocument StoredDocument::Build(xml::Document&& doc,
-                                     common::ThreadPool* pool) {
+StoredDocument StoredDocument::Build(xml::Document&& doc) {
   auto owned = std::make_unique<xml::Document>(std::move(doc));
-  StoredDocument out = Build(*owned, pool);
+  StoredDocument out = Build(*owned);
   out.owned_doc_ = std::move(owned);
   out.doc_ = out.owned_doc_.get();
   return out;

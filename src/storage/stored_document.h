@@ -31,7 +31,6 @@
 
 #include "common/mmap_file.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "dataguide/dataguide.h"
 #include "index/value_index.h"
 #include "pbn/numbering.h"
@@ -56,19 +55,15 @@ class StoredDocument {
   /// DataGuide and both indexes. The Document remains owned by the caller
   /// and must outlive the StoredDocument.
   ///
-  /// The build runs in explicit phases — serialize / number / DataGuide +
-  /// type-of-node, then per-type packed lists and per-type value columns —
-  /// and with a pool the embarrassingly parallel phases fan out on it. The
-  /// result is byte-identical to the single-threaded build for any thread
-  /// count.
-  static StoredDocument Build(const xml::Document& doc,
-                              common::ThreadPool* pool = nullptr);
+  /// The build runs in explicit phases on the calling thread — serialize /
+  /// number / DataGuide + type-of-node, type rows, per-type packed lists,
+  /// per-type value columns.
+  static StoredDocument Build(const xml::Document& doc);
 
   /// Owning overload: the StoredDocument takes the Document in, removing
   /// the keep-alive burden from the caller (and the dangling-pointer
   /// footgun when the caller's Document goes out of scope first).
-  static StoredDocument Build(xml::Document&& doc,
-                              common::ThreadPool* pool = nullptr);
+  static StoredDocument Build(xml::Document&& doc);
 
   const xml::Document& doc() const { return *doc_; }
 

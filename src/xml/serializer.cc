@@ -1,8 +1,5 @@
 #include "xml/serializer.h"
 
-#include <tuple>
-
-#include "common/parallel.h"
 #include "common/str_util.h"
 
 namespace vpbn::xml {
@@ -78,42 +75,6 @@ void SerializeIndented(const Document& doc, NodeId node, int depth,
   out->push_back('\n');
 }
 
-/// One unit of the chunked forest serialization. A kSubtree segment covers a
-/// whole subtree; kStartTag/kEndTag segments carry the two tag halves of an
-/// element whose children were split into their own segments. Segments are
-/// kept in document order, so concatenating their buffers reproduces the
-/// sequential serialization exactly.
-struct Segment {
-  enum Kind { kSubtree, kStartTag, kEndTag };
-  Kind kind;
-  NodeId node;
-  uint64_t weight = 0;  // subtree node count (kSubtree only; split heuristic)
-  std::string text;
-  // Node ranges relative to this segment's buffer (kSubtree only).
-  std::vector<std::tuple<NodeId, uint64_t, uint64_t>> local_ranges;
-};
-
-/// SerializeWithRanges twin that records ranges as segment-relative triples
-/// instead of writing into a forest-sized vector (a per-segment vector of
-/// that size would defeat the chunking).
-void SerializeWithTriples(
-    const Document& doc, NodeId node, std::string* out,
-    std::vector<std::tuple<NodeId, uint64_t, uint64_t>>* triples) {
-  uint64_t start = out->size();
-  if (doc.IsText(node)) {
-    out->append(EscapeXmlText(doc.text(node)));
-  } else if (doc.first_child(node) == kNullNode) {
-    AppendStartTag(doc, node, out, /*self_closing=*/true);
-  } else {
-    AppendStartTag(doc, node, out, /*self_closing=*/false);
-    for (NodeId c : ChildRange(doc, node)) {
-      SerializeWithTriples(doc, c, out, triples);
-    }
-    AppendEndTag(doc, node, out);
-  }
-  triples->emplace_back(node, start, out->size());
-}
-
 }  // namespace
 
 std::string SerializeNode(const Document& doc, NodeId node,
@@ -158,112 +119,9 @@ void SerializeWithRanges(const Document& doc, NodeId node, std::string* out,
 }
 
 void SerializeForestWithRanges(
-    const Document& doc, common::ThreadPool* pool, std::string* out,
+    const Document& doc, std::string* out,
     std::vector<std::pair<uint64_t, uint64_t>>* ranges) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      common::ThreadPool::InWorker() || doc.num_nodes() < 1024) {
-    for (NodeId root : doc.roots()) {
-      SerializeWithRanges(doc, root, out, ranges);
-    }
-    return;
-  }
-
-  // Subtree node counts in one reverse-document-order pass (children are
-  // visited before their parent), so segment splitting is O(1) per node.
-  std::vector<NodeId> order = doc.DocumentOrder();
-  std::vector<uint64_t> sizes(doc.num_nodes(), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    uint64_t s = 1;
-    for (NodeId c : ChildRange(doc, *it)) s += sizes[c];
-    sizes[*it] = s;
-  }
-
-  std::vector<Segment> segs;
-  for (NodeId root : doc.roots()) {
-    segs.push_back({Segment::kSubtree, root, sizes[root], {}, {}});
-  }
-
-  // Split the heaviest subtree segment into (start tag, child subtrees, end
-  // tag) until there are enough units to keep the pool busy. Each split is
-  // O(children + segments); the iteration bound keeps degenerate chains
-  // (one huge child per level) from scanning forever.
-  const size_t target = static_cast<size_t>(pool->num_threads()) * 4;
-  for (size_t iter = 0; segs.size() < target && iter < target * 2; ++iter) {
-    size_t heaviest = segs.size();
-    uint64_t best = 1;  // leaves (weight 1) are unsplittable
-    for (size_t i = 0; i < segs.size(); ++i) {
-      if (segs[i].kind == Segment::kSubtree && segs[i].weight > best) {
-        heaviest = i;
-        best = segs[i].weight;
-      }
-    }
-    if (heaviest == segs.size()) break;
-    NodeId e = segs[heaviest].node;
-    if (doc.IsText(e) || doc.first_child(e) == kNullNode) {
-      // Heavy but childless cannot happen (weight > 1 implies children),
-      // yet guard so a bad weight never produces wrong output.
-      break;
-    }
-    std::vector<Segment> expansion;
-    expansion.push_back({Segment::kStartTag, e, 0, {}, {}});
-    for (NodeId c : ChildRange(doc, e)) {
-      expansion.push_back({Segment::kSubtree, c, sizes[c], {}, {}});
-    }
-    expansion.push_back({Segment::kEndTag, e, 0, {}, {}});
-    segs.erase(segs.begin() + static_cast<ptrdiff_t>(heaviest));
-    segs.insert(segs.begin() + static_cast<ptrdiff_t>(heaviest),
-                std::make_move_iterator(expansion.begin()),
-                std::make_move_iterator(expansion.end()));
-  }
-
-  common::ParallelFor(pool, segs.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      Segment& seg = segs[i];
-      switch (seg.kind) {
-        case Segment::kSubtree:
-          seg.local_ranges.reserve(seg.weight);
-          SerializeWithTriples(doc, seg.node, &seg.text, &seg.local_ranges);
-          break;
-        case Segment::kStartTag:
-          AppendStartTag(doc, seg.node, &seg.text, /*self_closing=*/false);
-          break;
-        case Segment::kEndTag:
-          AppendEndTag(doc, seg.node, &seg.text);
-          break;
-      }
-    }
-  });
-
-  // Stitch: prefix-sum the segment buffers, then rebase every recorded
-  // range. Split elements span from their start-tag segment to their
-  // end-tag segment; splits nest, so a simple stack pairs them up.
-  uint64_t base = out->size();
-  std::vector<uint64_t> seg_start(segs.size() + 1, 0);
-  seg_start[0] = base;
-  for (size_t i = 0; i < segs.size(); ++i) {
-    seg_start[i + 1] = seg_start[i] + segs[i].text.size();
-  }
-  out->reserve(static_cast<size_t>(seg_start.back()));
-  std::vector<std::pair<NodeId, uint64_t>> open;  // (element, tag start)
-  for (size_t i = 0; i < segs.size(); ++i) {
-    const Segment& seg = segs[i];
-    out->append(seg.text);
-    switch (seg.kind) {
-      case Segment::kSubtree:
-        for (const auto& [node, s, e] : seg.local_ranges) {
-          (*ranges)[node] = {seg_start[i] + s, seg_start[i] + e};
-        }
-        break;
-      case Segment::kStartTag:
-        open.emplace_back(seg.node, seg_start[i]);
-        break;
-      case Segment::kEndTag:
-        (*ranges)[seg.node] = {open.back().second,
-                               seg_start[i] + seg.text.size()};
-        open.pop_back();
-        break;
-    }
-  }
+  for (NodeId root : doc.roots()) SerializeWithRanges(doc, root, out, ranges);
 }
 
 }  // namespace vpbn::xml

@@ -8,9 +8,11 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "common/thread_pool.h"
 #include "xml/document.h"
 
 namespace vpbn::xml {
@@ -36,18 +38,11 @@ std::string SerializeDocument(const Document& doc,
 void SerializeWithRanges(const Document& doc, NodeId node, std::string* out,
                          std::vector<std::pair<uint64_t, uint64_t>>* ranges);
 
-/// \brief Serialize the whole forest in the compact storage form, recording
-/// every node's byte range, with the work optionally fanned out on \p pool.
-///
-/// The forest is cut into document-ordered segments (subtree chunks plus
-/// the start/end tags of the elements that were split open); each subtree
-/// segment serializes independently into its own buffer and the buffers are
-/// stitched with one offset fix-up pass. Output — both the string appended
-/// to \p out and the \p ranges entries — is byte-identical to calling
-/// SerializeWithRanges over the roots sequentially, for any pool and any
-/// thread count. \p ranges must be pre-sized to doc.num_nodes().
+/// \brief Serialize the whole forest in the compact storage form:
+/// SerializeWithRanges over every root in order, appending to \p out.
+/// \p ranges must be pre-sized to doc.num_nodes().
 void SerializeForestWithRanges(
-    const Document& doc, common::ThreadPool* pool, std::string* out,
+    const Document& doc, std::string* out,
     std::vector<std::pair<uint64_t, uint64_t>>* ranges);
 
 }  // namespace vpbn::xml

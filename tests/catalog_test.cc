@@ -133,7 +133,6 @@ TEST(CatalogTest, ReloadPublishesNewEpochWithoutDisturbingReaders) {
 
 TEST(CatalogTest, EngineDefaultsComeFromTheCatalog) {
   query::ExecOptions defaults;
-  defaults.threads = 2;
   defaults.collect_stats = true;
   Catalog catalog(defaults);
   ASSERT_TRUE(catalog.AddDocumentXml("books", kBooksV1).ok());

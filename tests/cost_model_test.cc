@@ -2,8 +2,8 @@
 /// \brief Cost-based planner tests: cardinality estimate accuracy bounds
 /// (the histogram's additive error guarantee, exact string-equality
 /// selectivity, exact structural counts), zone-map admissibility units, the
-/// costed-engine vs per-node byte-identity differential at 1/2/8 threads,
-/// and deterministic zone-map data skipping on a clustered column.
+/// costed-engine vs per-node byte-identity differential, and deterministic
+/// zone-map data skipping on a clustered column.
 
 #include "query/cost_model.h"
 
@@ -226,9 +226,9 @@ TEST(ZoneMapTest, BlockAdmissibilityMirrorsPredicateSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// The differential: whatever plan and strategies the cost model picks, at
-// any thread count, results are byte-identical to one-node-at-a-time
-// evaluation. The cost model only moves work, never answers.
+// The differential: whatever plan and strategies the cost model picks,
+// results are byte-identical to one-node-at-a-time evaluation. The cost
+// model only moves work, never answers.
 
 void ExpectCostModelIsPureOptimization(
     storage::StoredDocument stored, const std::vector<std::string>& paths) {
@@ -239,11 +239,9 @@ void ExpectCostModelIsPureOptimization(
     SCOPED_TRACE(path);
     auto baseline = testutil::EvalPerNode(*shared, path);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    for (int threads : {1, 2, 8}) {
-      auto r = engine.Execute(path, {.threads = threads});
-      ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->node_ids(), *baseline) << "threads=" << threads;
-    }
+    auto r = engine.Execute(path);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->node_ids(), *baseline);
   }
 }
 

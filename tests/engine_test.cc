@@ -1,17 +1,24 @@
 /// \file engine_test.cc
 /// \brief QueryEngine facade: planning per substrate, prepare-once/execute-
 /// many, default options + per-request overrides, epoch/provenance stamps,
-/// typed results and StringValues.
+/// typed results and StringValues, and concurrent Execute calls on shared
+/// engines.
 
 #include "query/engine.h"
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "pbn/numbering.h"
+#include "storage/snapshot.h"
 #include "tests/test_util.h"
 #include "vpbn/virtual_document.h"
+#include "workload/auctions.h"
 
 namespace vpbn::query {
 namespace {
@@ -72,15 +79,15 @@ TEST(EngineTest, PrepareOnceExecuteMany) {
   QueryEngine engine(f.stored);
   auto prepared = engine.Prepare("//book/title");
   ASSERT_TRUE(prepared.ok());
-  auto r1 = engine.Execute(*prepared, {.threads = 1});
-  auto r2 = engine.Execute(*prepared, {.threads = 4});
-  auto r3 = engine.Execute(*prepared, {.threads = 0});  // hw concurrency
+  auto r1 = engine.Execute(*prepared);
+  auto r2 = engine.Execute(*prepared, {.collect_stats = true});
+  auto r3 = engine.Execute(*prepared);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r1->node_ids(), r2->node_ids());
   EXPECT_EQ(r1->node_ids(), r3->node_ids());
-  EXPECT_EQ(r2->stats().threads, 4);
+  EXPECT_EQ(r2->stats().result_nodes, r1->size());
 }
 
 TEST(EngineTest, StatsAreCollectedOnRequest) {
@@ -194,7 +201,7 @@ TEST(EngineTest, CachedPlanExecutesIdentically) {
   auto r1 = engine.Execute(*p1, {});
   auto p2 = engine.Prepare("//book[author/name]/title");  // cache hit
   ASSERT_TRUE(p2.ok());
-  auto r2 = engine.Execute(*p2, {.threads = 2});
+  auto r2 = engine.Execute(*p2, {.collect_stats = true});
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->node_ids(), r2->node_ids());
@@ -218,26 +225,21 @@ TEST(EngineTest, DefaultOptionsMergeUnderOverrides) {
   // Out of the box the defaults are the ExecOptions defaults.
   EXPECT_EQ(engine.EffectiveOptions({}), ExecOptions{});
 
-  engine.SetDefaultOptions({.threads = 3, .collect_stats = true});
-  EXPECT_EQ(engine.default_options().threads, 3);
+  engine.SetDefaultOptions({.collect_stats = true});
+  EXPECT_TRUE(engine.default_options().collect_stats);
 
   // No overrides: the defaults verbatim.
-  ExecOptions eff = engine.EffectiveOptions({});
-  EXPECT_EQ(eff.threads, 3);
-  EXPECT_TRUE(eff.collect_stats);
+  EXPECT_EQ(engine.EffectiveOptions({}), engine.default_options());
 
-  // Each set override replaces its default; unset fields fall through.
-  eff = engine.EffectiveOptions({.threads = 1});
-  EXPECT_EQ(eff.threads, 1);
-  EXPECT_TRUE(eff.collect_stats);  // inherited
-  eff = engine.EffectiveOptions({.collect_stats = false});
-  EXPECT_EQ(eff.threads, 3);  // inherited
+  // A set override replaces its default; the inert threads field changes
+  // nothing.
+  EXPECT_EQ(engine.EffectiveOptions({.threads = 4}), engine.default_options());
+  ExecOptions eff = engine.EffectiveOptions({.collect_stats = false});
   EXPECT_FALSE(eff.collect_stats);
 
   // Execute actually runs with the merge: defaults say collect_stats.
   auto r = engine.Execute("/data/book[2]/title", {});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats().threads, 3);
   EXPECT_FALSE(r->stats().steps.empty());
 
   // ...and a per-request override wins without touching the defaults.
@@ -342,10 +344,98 @@ TEST(EngineTest, ExecStatsJsonIsSingleLineAndComplete) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   for (const char* key :
-       {"\"plan\":", "\"threads\":", "\"wall_ms\":", "\"result_nodes\":",
+       {"\"plan\":", "\"wall_ms\":", "\"result_nodes\":",
         "\"nodes_scanned\":", "\"plan_cache_hits\":", "\"steps\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
   }
+}
+
+// vpbnd runs requests for one document on several workers at once, each
+// on its own thread, against shared engines. Four threads hammer one engine
+// per plan (bulk, indexed, view) over a v2 snapshot loaded through LoadFile
+// with mmap, so the arenas and the view's columns are first decoded under
+// contention. The per-call overrides vary the inert threads field and
+// collect_stats: neither may change an answer or touch shared state.
+TEST(EngineTest, ConcurrentExecutesOnSharedEnginesMatchSequential) {
+  workload::AuctionsOptions opts;
+  opts.num_items = 20;
+  opts.num_people = 15;
+  opts.num_auctions = 40;
+  const xml::Document doc = workload::GenerateAuctions(opts);
+  const storage::StoredDocument built = storage::StoredDocument::Build(doc);
+  const std::string path = ::testing::TempDir() + "/engine_concurrent.vpsn";
+  ASSERT_TRUE(storage::Snapshot::WriteFile(built, path).ok());
+  auto loaded = storage::Snapshot::LoadFile(path);  // mmap by default
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto stored =
+      std::make_shared<const storage::StoredDocument>(std::move(*loaded));
+  ASSERT_GT(stored->mapped_bytes(), 0u);
+  const char* kSpec = "auction { itemref bidder { price } }";
+  auto view = virt::VirtualDocument::OpenShared(stored, kSpec);
+  ASSERT_TRUE(view.ok()) << view.status();
+
+  // The reference answers come from a separate build of the same document,
+  // so the shared substrates stay cold until the threads start.
+  auto ref_stored = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(doc));
+  auto ref_view = virt::VirtualDocument::OpenShared(ref_stored, kSpec);
+  ASSERT_TRUE(ref_view.ok()) << ref_view.status();
+  const QueryEngine ref_stored_engine(ref_stored);
+  const QueryEngine ref_view_engine(*ref_view);
+
+  const QueryEngine stored_engine(stored);
+  const QueryEngine view_engine(*view);
+  struct Case {
+    const QueryEngine* engine;
+    const QueryEngine* reference;
+    const char* path;
+    PlanKind plan;
+  };
+  const Case cases[] = {
+      {&stored_engine, &ref_stored_engine,
+       "//auction[bidder/price]//personref", PlanKind::kBulk},
+      {&stored_engine, &ref_stored_engine, "//auction/bidder[1]/price",
+       PlanKind::kIndexed},
+      {&view_engine, &ref_view_engine, "//auction[itemref]/bidder/price",
+       PlanKind::kVirtual},
+  };
+  std::vector<std::vector<std::string>> want;
+  for (const Case& c : cases) {
+    auto plan = c.reference->Prepare(c.path);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan->plan(), c.plan) << c.path;
+    auto r = c.reference->Execute(*plan);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_GT(r->size(), 0u) << c.path;
+    want.push_back(c.reference->StringValues(*r));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerCase = 200;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerCase; ++i) {
+        for (size_t k = 0; k < std::size(cases); ++k) {
+          const Case& c = cases[(k + t) % std::size(cases)];
+          ExecOverrides overrides;
+          overrides.threads = 1 + (i + t) % 4;
+          overrides.collect_stats = (i + t) % 2 == 0;
+          auto r = c.engine->Execute(c.path, overrides);
+          if (!r.ok() ||
+              c.engine->StringValues(*r) != want[(k + t) % std::size(cases)]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

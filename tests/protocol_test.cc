@@ -39,17 +39,14 @@ TEST(ProtocolTest, PathKeepsInternalSpaces) {
 }
 
 TEST(ProtocolTest, ParsesQueryOptions) {
-  auto r = ParseRequest("QUERY books --threads=4 --stats //book");
+  auto r = ParseRequest("QUERY books --stats //book");
   ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_TRUE(r->overrides.threads.has_value());
-  EXPECT_EQ(*r->overrides.threads, 4);
   EXPECT_EQ(r->overrides.collect_stats, true);
   EXPECT_EQ(r->path, "//book");
 
   // No options: every override stays unset (falls through to defaults).
   auto bare = ParseRequest("QUERY books //book");
   ASSERT_TRUE(bare.ok());
-  EXPECT_FALSE(bare->overrides.threads.has_value());
   EXPECT_FALSE(bare->overrides.collect_stats.has_value());
 }
 
@@ -60,9 +57,8 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
            "QUERY",                    // no target
            "QUERY books",              // no path
            "QUERY books --stats",      // options but no path
-           "QUERY books --threads=x //b",  // bad option value
-           "QUERY books --threads=-1 //b",
            "QUERY books --frobnicate //b",
+           "QUERY books --threads=2 //b",     // removed option
            "QUERY books --partitions=8 //b",  // removed option
            "QUERY books --no-value-index //b",   // removed option
            "QUERY books --no-virtual-join //b",  // removed option

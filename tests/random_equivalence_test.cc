@@ -13,6 +13,9 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "query/engine.h"
 #include "query/eval_nav.h"
@@ -140,24 +143,26 @@ TEST_P(RandomEquivalenceTest, VirtualMatchesMaterialized) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-/// Determinism: the node lists (not just the node sets) with 1 and with N
-/// threads must be identical — parallel execution is invisible in output.
+/// Determinism under concurrent callers: threads executing the battery at
+/// once on shared engines get exactly the node lists (not just the node
+/// sets) of one sequential pass. Each query runs on its caller's thread, as
+/// in vpbnd's workers. The concurrent pass runs on a v2 snapshot of the
+/// stored document and on a view opened over it, both untouched until the
+/// threads start, so the threads race the lazy arena decode, the view's
+/// decoded columns and reachability bitmaps, and the plan caches.
 class ParallelDeterminismTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
   uint64_t seed = GetParam();
   workload::RandomTreeOptions topts;
   topts.seed = seed;
-  topts.num_nodes = 600;  // Large enough to cross the parallel cutoffs.
+  topts.num_nodes = 600;
   topts.num_labels = 4;
   topts.text_prob = 0.25;
   auto doc = std::make_shared<const xml::Document>(
       workload::GenerateRandomTree(topts));
   auto stored = std::make_shared<const storage::StoredDocument>(
       storage::StoredDocument::Build(*doc));
-
-  QueryEngine nav_engine(doc);
-  QueryEngine stored_engine(stored);
 
   workload::RandomSpecOptions sopts;
   sopts.seed = seed * 37 + 1;
@@ -166,35 +171,67 @@ TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
   SCOPED_TRACE(spec);
   auto v = virt::VirtualDocument::OpenShared(stored, spec);
   ASSERT_TRUE(v.ok()) << v.status();
+
+  auto loaded = storage::Snapshot::Load(
+      storage::Snapshot::Write(*stored, /*version=*/2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto cold = std::make_shared<const storage::StoredDocument>(
+      std::move(*loaded));
+  auto cold_view = virt::VirtualDocument::OpenShared(cold, spec);
+  ASSERT_TRUE(cold_view.ok()) << cold_view.status();
+
+  QueryEngine nav_engine(doc);
+  QueryEngine stored_engine(stored);
   QueryEngine virtual_engine(*v);
+  QueryEngine cold_stored_engine(cold);
+  QueryEngine cold_virtual_engine(*cold_view);
 
   // Physical paths over labels the generator emits; virtual paths from the
   // vDataGuide battery. Every query runs on every applicable substrate.
-  std::vector<std::string> physical = {
-      "//e0",           "//e1/*",          "//e0//e1",
-      "//e2/text()",    "//e0[e1]",        "//*[text()]",
-      "//e1/..",        "//e0/descendant::*",
+  struct Job {
+    const QueryEngine* reference;
+    const QueryEngine* concurrent;
+    std::string path;
   };
-  for (int threads : {2, 4}) {
-    for (const std::string& path : physical) {
-      for (const query::QueryEngine* engine : {&nav_engine, &stored_engine}) {
-        SCOPED_TRACE(path);
-        auto seq = engine->Execute(path, {.threads = 1});
-        auto par = engine->Execute(path, {.threads = threads});
-        ASSERT_TRUE(seq.ok()) << seq.status();
-        ASSERT_TRUE(par.ok()) << par.status();
-        EXPECT_TRUE(seq->nodes() == par->nodes()) << path;
+  std::vector<Job> jobs;
+  for (const char* path :
+       {"//e0", "//e1/*", "//e0//e1", "//e2/text()", "//e0[e1]",
+        "//*[text()]", "//e1/..", "//e0/descendant::*"}) {
+    jobs.push_back({&nav_engine, &nav_engine, path});
+    jobs.push_back({&stored_engine, &cold_stored_engine, path});
+  }
+  for (const std::string& path :
+       PathBattery((*v)->vguide(), TextValues(*doc))) {
+    jobs.push_back({&virtual_engine, &cold_virtual_engine, path});
+  }
+
+  std::vector<QueryResult::NodeList> want;
+  for (const Job& job : jobs) {
+    auto r = job.reference->Execute(job.path);
+    ASSERT_TRUE(r.ok()) << job.path << ": " << r.status();
+    want.push_back(r->nodes());
+  }
+
+  // Each thread walks the whole battery from its own starting offset, so
+  // first touches of the lazy state land on different threads.
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        const size_t j = (i + t * jobs.size() / kThreads) % jobs.size();
+        auto r = jobs[j].concurrent->Execute(jobs[j].path);
+        if (!r.ok() || !(r->nodes() == want[j])) {
+          failures[t].push_back(jobs[j].path);
+        }
       }
-    }
-    for (const std::string& path :
-         PathBattery((*v)->vguide(), TextValues(*doc))) {
-      SCOPED_TRACE(path);
-      auto seq = virtual_engine.Execute(path, {.threads = 1});
-      auto par = virtual_engine.Execute(path, {.threads = threads});
-      ASSERT_TRUE(seq.ok()) << seq.status();
-      ASSERT_TRUE(par.ok()) << par.status();
-      EXPECT_TRUE(seq->nodes() == par->nodes()) << path;
-    }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<std::string>& f : failures) {
+    EXPECT_TRUE(f.empty()) << f.size() << " differing answers, first "
+                           << f.front();
   }
 }
 
@@ -230,13 +267,10 @@ void ExpectStoredMatchesNav(
     SCOPED_TRACE(path);
     auto want = nav_engine.Execute(path);
     ASSERT_TRUE(want.ok()) << want.status();
-    for (int threads : {1, 2, 8}) {
-      auto got = stored_engine.Execute(
-          path, {.threads = threads, .collect_stats = {}});
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_TRUE(got->nodes() == want->nodes()) << "threads=" << threads;
-      plans.insert(got->stats().plan);
-    }
+    auto got = stored_engine.Execute(path);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(got->nodes() == want->nodes());
+    plans.insert(got->stats().plan);
   }
   EXPECT_EQ(plans, (std::set<std::string>{"bulk", "indexed"}));
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/engine.h"
 #include "tests/test_util.h"
 #include "vpbn/virtual_document.h"
@@ -76,54 +75,9 @@ TEST(SnapshotTest, WriteIsDeterministicAndStableAcrossRoundTrip) {
   EXPECT_EQ(Snapshot::Write(*loaded), a);
 }
 
-TEST(SnapshotTest, ParallelBuildIsByteIdentical) {
-  xml::Document doc = AuctionsDoc();
-  std::string sequential = Snapshot::Write(StoredDocument::Build(doc));
-  for (int threads : {2, 8}) {
-    common::ThreadPool pool(threads);
-    EXPECT_EQ(Snapshot::Write(StoredDocument::Build(doc, &pool)), sequential)
-        << threads << " threads";
-  }
-}
-
-// Build determinism on a corpus of several thousand nodes, built through
-// the moving overload: the packed arenas do not depend on the thread pool
-// used to build. The suite name is historical; the test once also compared
-// the subtree-partition metadata, which no longer exists.
-TEST(PartitionedEvalTest, BuildIsPoolIndependent) {
-  xml::Document d1 = AuctionsDoc(120, 60, 90);
-  xml::Document d2 = AuctionsDoc(120, 60, 90);
-  common::ThreadPool pool(8);
-  StoredDocument seq = StoredDocument::Build(std::move(d1));
-  StoredDocument par = StoredDocument::Build(std::move(d2), &pool);
-  EXPECT_EQ(Snapshot::Write(seq), Snapshot::Write(par))
-      << "snapshot bytes differ across build pools";
-}
-
-TEST(SnapshotTest, ParallelBuildIsByteIdenticalOnRandomForests) {
-  for (uint64_t seed : {3u, 17u, 29u}) {
-    xml::Document doc = testutil::RandomForest(seed, 800);
-    std::string sequential = Snapshot::Write(StoredDocument::Build(doc));
-    common::ThreadPool pool(4);
-    EXPECT_EQ(Snapshot::Write(StoredDocument::Build(doc, &pool)), sequential)
-        << "seed " << seed;
-  }
-}
-
-TEST(SnapshotTest, ParallelLoadIsByteIdentical) {
-  xml::Document doc = AuctionsDoc();
-  std::string snap = Snapshot::Write(StoredDocument::Build(doc));
-  for (int threads : {2, 8}) {
-    common::ThreadPool pool(threads);
-    auto loaded = Snapshot::Load(snap, &pool);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(Snapshot::Write(*loaded), snap) << threads << " threads";
-  }
-}
-
 // The satellite property test: a StoredDocument loaded from a snapshot
 // answers every query byte-identically to one built from XML, across all
-// three substrates and thread counts.
+// three substrates.
 TEST(SnapshotTest, LoadedDocumentAnswersQueriesIdentically) {
   xml::Document doc = AuctionsDoc();
   auto built = std::make_shared<const StoredDocument>(
@@ -171,15 +125,13 @@ TEST(SnapshotTest, LoadedDocumentAnswersQueriesIdentically) {
 
   for (const char* q : kQueries) {
     for (const Pair& pair : pairs) {
-      for (int threads : {1, 2, 8}) {
-        auto want = pair.built->Execute(q, {.threads = threads});
-        auto got = pair.loaded->Execute(q, {.threads = threads});
-        ASSERT_TRUE(want.ok()) << q << ": " << want.status();
-        ASSERT_TRUE(got.ok()) << q << ": " << got.status();
-        EXPECT_EQ(pair.loaded->StringValues(*got),
-                  pair.built->StringValues(*want))
-            << q << " at " << threads << " threads";
-      }
+      auto want = pair.built->Execute(q);
+      auto got = pair.loaded->Execute(q);
+      ASSERT_TRUE(want.ok()) << q << ": " << want.status();
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status();
+      EXPECT_EQ(pair.loaded->StringValues(*got),
+                pair.built->StringValues(*want))
+          << q;
     }
   }
 }
@@ -461,8 +413,8 @@ TEST(SnapshotV2Test, MmapLoadReportsMappedBytesAndMatchesCopyLoad) {
   std::string path = ::testing::TempDir() + "/snapshot_v2_mmap.vpsn";
   ASSERT_TRUE(Snapshot::WriteFile(built, path).ok());
 
-  auto mapped = Snapshot::LoadFile(path, nullptr, /*use_mmap=*/true);
-  auto copied = Snapshot::LoadFile(path, nullptr, /*use_mmap=*/false);
+  auto mapped = Snapshot::LoadFile(path, /*use_mmap=*/true);
+  auto copied = Snapshot::LoadFile(path, /*use_mmap=*/false);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   ASSERT_TRUE(copied.ok()) << copied.status();
   EXPECT_GT(mapped->snapshot_bytes(), 0u);

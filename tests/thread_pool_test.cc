@@ -1,19 +1,12 @@
 /// \file thread_pool_test.cc
-/// \brief ThreadPool and ParallelFor: shutdown drains the queue, exceptions
-/// propagate to the joining thread, and nested parallel regions run inline
-/// instead of deadlocking a busy pool.
+/// \brief ThreadPool, the vpbnd connection-worker pool: every submitted
+/// task runs, and shutdown drains the queue.
 
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <set>
-#include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/parallel.h"
 
 namespace vpbn::common {
 namespace {
@@ -46,78 +39,6 @@ TEST(ThreadPoolTest, ShutdownDrainsPendingTasks) {
     }
   }
   EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, InWorkerFlag) {
-  EXPECT_FALSE(ThreadPool::InWorker());
-  std::atomic<bool> inside{false};
-  {
-    ThreadPool pool(1);
-    pool.Submit([&inside] { inside = ThreadPool::InWorker(); });
-  }
-  EXPECT_TRUE(inside.load());
-  EXPECT_FALSE(ThreadPool::InWorker());
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, hits.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, SequentialCutoffs) {
-  // Null pool, 1-thread pool, and n <= grain all run inline on the caller.
-  ThreadPool one(1);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
-    std::set<std::thread::id> threads;
-    ParallelFor(pool, 100, 1, [&](size_t, size_t) {
-      threads.insert(std::this_thread::get_id());
-    });
-    EXPECT_EQ(threads.size(), 1u);
-    EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
-  }
-  ThreadPool four(4);
-  std::set<std::thread::id> threads;
-  ParallelFor(&four, 10, 100, [&](size_t, size_t) {
-    threads.insert(std::this_thread::get_id());
-  });
-  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
-}
-
-TEST(ParallelForTest, PropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      ParallelFor(&pool, 1000, 1,
-                  [](size_t begin, size_t) {
-                    if (begin == 0) throw std::runtime_error("boom");
-                  }),
-      std::runtime_error);
-  // The pool is still usable afterwards.
-  std::atomic<int> count{0};
-  ParallelFor(&pool, 100, 1, [&](size_t begin, size_t end) {
-    count.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ParallelForTest, NestedRegionsRunInlineWithoutDeadlock) {
-  // Every outer chunk issues an inner ParallelFor on the same pool. With
-  // naive re-submission a fully busy pool deadlocks; the InWorker() check
-  // must route the inner region inline.
-  ThreadPool pool(2);
-  std::atomic<int> inner_total{0};
-  ParallelFor(&pool, 64, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ParallelFor(&pool, 8, 1, [&](size_t b, size_t e) {
-        EXPECT_TRUE(ThreadPool::InWorker());
-        inner_total.fetch_add(static_cast<int>(e - b));
-      });
-    }
-  });
-  EXPECT_EQ(inner_total.load(), 64 * 8);
 }
 
 }  // namespace

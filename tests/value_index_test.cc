@@ -2,7 +2,7 @@
 /// \brief Value index + predicate pushdown: dictionary/column units,
 /// cross-substrate differential tests, and the randomized byte-identity
 /// property — pushdown answers must equal the per-node scan path for every
-/// comparison operator, on stored and virtual documents, at 1/2/8 threads.
+/// comparison operator, on stored and virtual documents.
 
 #include "index/value_index.h"
 
@@ -270,11 +270,9 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnStoredDocument) {
     SCOPED_TRACE(path);
     auto baseline = testutil::EvalPerNode(*stored, path);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    for (int threads : {1, 2, 8}) {
-      auto r = engine.Execute(path, {.threads = threads});
-      ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->node_ids(), *baseline) << "threads=" << threads;
-    }
+    auto r = engine.Execute(path);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->node_ids(), *baseline);
   }
 }
 
@@ -302,17 +300,15 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnVirtualDocument) {
     SCOPED_TRACE(path);
     auto baseline = testutil::EvalPerNode(**v, path);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    for (int threads : {1, 2, 8}) {
-      auto r = engine.Execute(path, {.threads = threads});
-      ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->virtual_nodes(), *baseline) << "threads=" << threads;
-    }
+    auto r = engine.Execute(path);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->virtual_nodes(), *baseline);
   }
 }
 
-/// Runs every query through the engine at 1/2/8 threads and requires the
-/// node lists of the per-node reference. Returns the postings the engine
-/// counted over all runs.
+/// Runs every query through the engine and requires the node lists of the
+/// per-node reference. Returns the postings the engine counted over all
+/// queries.
 uint64_t ExpectViewMatchesPerNode(
     const std::shared_ptr<const virt::VirtualDocument>& v,
     const std::vector<std::string>& paths) {
@@ -323,15 +319,12 @@ uint64_t ExpectViewMatchesPerNode(
     auto baseline = testutil::EvalPerNode(*v, path);
     EXPECT_TRUE(baseline.ok()) << baseline.status();
     if (!baseline.ok()) continue;
-    for (int threads : {1, 2, 8}) {
-      auto r = engine.Execute(path,
-                              {.threads = threads, .collect_stats = true});
-      EXPECT_TRUE(r.ok()) << r.status();
-      if (!r.ok()) continue;
-      EXPECT_EQ(r->virtual_nodes(), *baseline) << "threads=" << threads;
-      EXPECT_EQ(r->stats().value_scan_fallbacks, 0u);
-      postings += r->stats().value_index_postings;
-    }
+    auto r = engine.Execute(path, {.collect_stats = true});
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (!r.ok()) continue;
+    EXPECT_EQ(r->virtual_nodes(), *baseline);
+    EXPECT_EQ(r->stats().value_scan_fallbacks, 0u);
+    postings += r->stats().value_index_postings;
   }
   return postings;
 }
@@ -456,8 +449,8 @@ size_t MatchingRowCount(const virt::VirtualDocument& v, std::string_view label,
 
 // `//auction/bidder[price > N]` tests each auction's bidders in a call of
 // its own. The witness side (the matching price rows) is built at most
-// once per execution, however many calls read it and at any thread count:
-// a build per call would count the matching rows once per auction.
+// once per execution, however many calls read it: a build per call would
+// count the matching rows once per auction.
 TEST(ValueIndexPropertyTest, ViewPredicateCollectsWitnessesAtMostOnce) {
   workload::AuctionsOptions opts;
   opts.seed = 7;
@@ -474,7 +467,7 @@ TEST(ValueIndexPropertyTest, ViewPredicateCollectsWitnessesAtMostOnce) {
   ASSERT_GT(matching, auctions);
   const uint64_t wide =
       ExpectViewMatchesPerNode(v, {"//auction/bidder[price > 10]"});
-  EXPECT_LE(wide, 3 * matching);  // three runs: 1, 2 and 8 threads
+  EXPECT_LE(wide, matching);
 
   // A selective bound (about the top 2% of prices): the witness side is
   // small, so every call merges against it, and it is still collected
@@ -492,7 +485,7 @@ TEST(ValueIndexPropertyTest, ViewPredicateCollectsWitnessesAtMostOnce) {
   ASSERT_GT(selective, 0u);
   const uint64_t narrow = ExpectViewMatchesPerNode(
       v, {"//auction/bidder[price > " + std::to_string(bound) + "]"});
-  EXPECT_EQ(narrow, 3 * selective);
+  EXPECT_EQ(narrow, selective);
 }
 
 // A predicate call over a handful of bidders never pays for the whole

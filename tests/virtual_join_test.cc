@@ -1,9 +1,9 @@
 /// \file virtual_join_test.cc
 /// \brief Differential tests for the vtype-partitioned merge joins
 /// (query/eval_virtual.h BatchAxis): the merge path must be byte-identical
-/// to per-candidate evaluation (tests/per_node_adapter.h), across
-/// thread counts, including views where ChainSafe fails and the merge
-/// falls back to exact chain expansion; plus direct kernel-vs-predicate
+/// to per-candidate evaluation (tests/per_node_adapter.h), including views
+/// where ChainSafe fails and the merge falls back to exact chain
+/// expansion; plus direct kernel-vs-predicate
 /// and bitmap-vs-walk cross-checks over >= 10k instance pairs.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "pbn/packed.h"
 #include "query/engine.h"
 #include "query/eval_virtual.h"
@@ -37,7 +36,7 @@ virt::VirtualDocument Open(const storage::StoredDocument& stored,
 }
 
 /// Evaluates \p query per candidate (the baseline), then through the
-/// engine at 1/2/8 threads, and requires identical node lists.
+/// engine, and requires identical node lists.
 void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
                                const std::vector<std::string>& queries,
                                uint64_t* vjoin_pairs_seen = nullptr) {
@@ -48,16 +47,13 @@ void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
   for (const std::string& q : queries) {
     auto base = testutil::EvalPerNode(vdoc, q);
     ASSERT_TRUE(base.ok()) << q << ": " << base.status();
-    for (int threads : {1, 2, 8}) {
-      auto joined =
-          engine.Execute(q, {.threads = threads, .collect_stats = true});
-      ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
-      ASSERT_TRUE(*base == joined->virtual_nodes())
-          << q << " diverges at threads=" << threads << " (baseline "
-          << base->size() << " nodes, joined " << joined->size() << ")";
-      if (vjoin_pairs_seen != nullptr) {
-        *vjoin_pairs_seen += joined->stats().vjoin_pairs;
-      }
+    auto joined = engine.Execute(q, {.collect_stats = true});
+    ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
+    ASSERT_TRUE(*base == joined->virtual_nodes())
+        << q << " diverges (baseline " << base->size() << " nodes, joined "
+        << joined->size() << ")";
+    if (vjoin_pairs_seen != nullptr) {
+      *vjoin_pairs_seen += joined->stats().vjoin_pairs;
     }
   }
 }
@@ -71,15 +67,11 @@ void ExpectForcedJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
     ASSERT_TRUE(parsed.ok()) << q;
     auto base = testutil::EvalPerNode(vdoc, q);
     ASSERT_TRUE(base.ok()) << q << ": " << base.status();
-    for (int threads : {1, 2, 8}) {
-      common::ThreadPool pool(threads);
-      ExecContext ctx(threads > 1 ? &pool : nullptr, false);
-      ctx.set_force_vjoin_merge(true);
-      auto joined = EvalVirtual(vdoc, *parsed, &ctx);
-      ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
-      ASSERT_TRUE(*base == *joined)
-          << q << " diverges at threads=" << threads << " (merge forced)";
-    }
+    ExecContext ctx;
+    ctx.set_force_vjoin_merge(true);
+    auto joined = EvalVirtual(vdoc, *parsed, &ctx);
+    ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
+    ASSERT_TRUE(*base == *joined) << q << " diverges (merge forced)";
   }
 }
 
