@@ -1,23 +1,8 @@
 #include "pbn/structural_join.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace vpbn::num {
-
-namespace {
-
-std::atomic<bool> g_join_block_skipping{true};
-
-}  // namespace
-
-void SetJoinBlockSkipping(bool enabled) {
-  g_join_block_skipping.store(enabled, std::memory_order_relaxed);
-}
-
-bool JoinBlockSkippingEnabled() {
-  return g_join_block_skipping.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -75,7 +60,6 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
   uint64_t comparisons = 0;
   uint64_t bytes = 0;
   uint64_t block_skips = 0;
-  const bool skip_blocks = JoinBlockSkippingEnabled();
   const size_t a_size = ancestors.size();
   const char* a_arena = ancestors.arena_data();
   const uint32_t* a_off = ancestors.offsets_data();
@@ -104,7 +88,7 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
       if (top.IsStrictPrefixOf(dn)) break;
       stack.pop_back();
     }
-    if (skip_blocks && stack.empty()) {
+    if (stack.empty()) {
       // No enclosing chain: once the ancestor scan is exhausted, no later
       // descendant can produce output.
       if (a >= a_size) break;
@@ -123,7 +107,7 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
                           d_len[d], d_key[d]);
       }
     }
-    if (skip_blocks && a < a_size) {
+    if (a < a_size) {
       // Ancestors with sort keys below this bound can be neither prefixes
       // of dn nor >= dn, so the advance loop would step over every one of
       // them without touching the stack. Stride whole blocks off the key

@@ -51,22 +51,13 @@ struct JoinCounters {
   uint64_t block_skips = 0;     ///< kPbnBlockEntries blocks skipped wholesale
 };
 
-/// \name Block-skipping toggle.
-///
-/// The packed joins stride over whole kPbnBlockEntries blocks whose min/max
-/// sort keys prove no element can match or stop the merge (identical
-/// output either way — property-tested). On by default; the toggle exists
-/// so tests and benches can pin the unskipped baseline. Process-global.
-/// @{
-void SetJoinBlockSkipping(bool enabled);
-bool JoinBlockSkippingEnabled();
-/// @}
-
 /// \name Packed structural joins
 ///
 /// Same contract and byte-identical JoinPair output as the vector variants,
 /// but streaming over the contiguous arenas of PackedPbnList: every axis
-/// decision is a memcmp over encoded bytes. \p counters is explicit (no
+/// decision is a memcmp over encoded bytes, and whole kPbnBlockEntries
+/// blocks whose sort keys prove no element can match or stop the merge are
+/// skipped (JoinCounters::block_skips). \p counters is explicit (no
 /// default) so brace-initialized vector calls never overload-clash with
 /// the vector variants; pass nullptr to count nothing.
 /// @{

@@ -174,8 +174,6 @@ CardinalityEstimator::EstimatePath(const Path& path) const {
 
     std::map<dg::TypeId, double> next;
     auto add = [&](dg::TypeId nt, double c) {
-      est.candidate_rows += TypeCount(nt);
-      ++est.candidate_types;
       double& slot = next[nt];
       slot = std::min(TypeCount(nt), slot + c);
     };
@@ -206,7 +204,6 @@ CardinalityEstimator::EstimatePath(const Path& path) const {
         }
       }
     }
-    est.predicates = step.predicates.size();
     for (const auto& pred : step.predicates) {
       for (auto& [nt, c] : next) {
         c *= PredSurvival(nt, *pred);

@@ -3,7 +3,8 @@
 /// counts joined with the value index's per-column statistics
 /// (idx::ColumnStats — equi-depth histograms, term frequencies, zone maps).
 ///
-/// The estimates feed the cost model (query/cost_model.h). Two sources:
+/// The estimates feed the cost model's strategy choices
+/// (query/cost_model.h) and ExecStats::est_rows. Two sources:
 ///
 ///   * **Type counts are exact.** The DataGuide's per-type instance lists
 ///     are materialized, so structural cardinalities (how many `book`
@@ -74,10 +75,7 @@ class CardinalityEstimator {
     /// Estimated surviving instances per frontier type after the step's
     /// node test, structural join, and predicates.
     std::vector<std::pair<dg::TypeId, double>> frontier;
-    double rows = 0;            ///< total over the frontier
-    double candidate_rows = 0;  ///< instances of all candidate types examined
-    size_t candidate_types = 0; ///< candidate (type-level) join edges
-    size_t predicates = 0;      ///< predicates the step applies
+    double rows = 0;  ///< total over the frontier
   };
 
   /// Estimates the whole path step by step. Structural counts are exact

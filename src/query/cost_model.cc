@@ -131,37 +131,4 @@ PredPlan CostModel::ChoosePredStrategy(
   return plan;
 }
 
-bool CostModel::BulkBeatsIndexed(const Path& path) const {
-  std::vector<CardinalityEstimator::StepEstimate> steps =
-      card_.EstimatePath(path);
-  double bulk = w_.setup;
-  double indexed = w_.setup;
-  double prev_rows = 1;  // the document node
-  for (const CardinalityEstimator::StepEstimate& est : steps) {
-    // Bulk streams every candidate type's full instance list through the
-    // packed merge joins against the per-type context lists, then appends
-    // the survivors packed.
-    bulk += (est.candidate_rows + prev_rows + est.rows) * w_.row;
-    // Indexed runs per context node: per candidate type, a packed subtree
-    // range scan (two binary searches), then materializes each surviving
-    // node as a heap Pbn and sort-uniques the step output.
-    const double types = static_cast<double>(
-        est.candidate_types == 0 ? 1 : est.candidate_types);
-    const double avg_rows =
-        est.candidate_rows / (types > 0 ? types : 1.0);
-    indexed += prev_rows * types * 2 * w_.probe *
-                   Log2(static_cast<size_t>(avg_rows)) +
-               est.rows * w_.materialize +
-               est.rows * Log2(static_cast<size_t>(est.rows)) * w_.row;
-    // Indexed evaluates each step predicate once per node-test survivor
-    // (a value-index probe or subtree materialization per node), where
-    // bulk answers the same predicate set-at-a-time through the semi-join
-    // already charged by the streaming term above.
-    indexed += est.candidate_rows * w_.probe *
-               static_cast<double>(est.predicates);
-    prev_rows = std::max(1.0, est.rows);
-  }
-  return bulk <= indexed;
-}
-
 }  // namespace vpbn::query

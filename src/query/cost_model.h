@@ -1,21 +1,20 @@
 /// \file cost_model.h
-/// \brief Costed plan and strategy selection over a StoredDocument, fed by
+/// \brief Costed strategy selection over a StoredDocument, fed by
 /// query/cardinality.h estimates and the value index's zone maps.
 ///
 /// Every strategy decision the evaluators make is a method here, so there
-/// is one layer to read and tune:
+/// is one layer to read and tune. The stored *plan* is not one of them:
+/// QueryEngine::Prepare runs bulk exactly when the path lies in the bulk
+/// fragment (query/eval_bulk.h) and the per-node indexed evaluator
+/// otherwise, with no costing.
 ///
-///   * **Stored plan** (engine Prepare): bulk set-at-a-time joins vs the
-///     per-node indexed evaluator, for paths inside the bulk fragment
-///     (outside it, indexed is the only applicable plan — no decision).
-///   * **Value-predicate strategy** (eval_bulk ApplyValuePred / the indexed
-///     adapter's BatchPredicate): collect all matching rows as witnesses
-///     and semi-join (wins at low selectivity — few witnesses), probe each
-///     context's subtree range against the sorted matching-rows list (wins
-///     for small contexts), or scan each context's term-column range with
-///     zone-map block skipping, never materializing rows at all (wins at
-///     high selectivity, where the witness sort alone costs more than the
-///     whole scan).
+///   * **Value-predicate strategy** (eval_bulk ApplyValuePred): collect all
+///     matching rows as witnesses and semi-join (wins at low selectivity —
+///     few witnesses), probe each context's subtree range against the
+///     sorted matching-rows list (wins for small contexts), or scan each
+///     context's term-column range with zone-map block skipping, never
+///     materializing rows at all (wins at high selectivity, where the
+///     witness sort alone costs more than the whole scan).
 ///   * **Merge vs walk** (eval_virtual BatchAxis): a costed comparison of
 ///     the vtype merge join against per-node range walks.
 ///   * **Witness-first vs per-node on a view** (eval_virtual
@@ -76,17 +75,6 @@ class CostModel {
   explicit CostModel(const storage::StoredDocument& stored,
                      CostWeights weights = {})
       : stored_(&stored), card_(stored), w_(weights) {}
-
-  const CardinalityEstimator& cardinality() const { return card_; }
-
-  /// True when the set-at-a-time bulk plan is estimated cheaper than the
-  /// per-node indexed plan. Call only for paths in the bulk fragment.
-  bool BulkBeatsIndexed(const Path& path) const;
-
-  /// Estimated result cardinality (ExecStats::est_rows).
-  double EstimateResultRows(const Path& path) const {
-    return card_.EstimateResultRows(path);
-  }
 
   /// Strategy choice for one [path op literal] predicate against a context
   /// list of \p n_context instances of \p context_type, with resolved

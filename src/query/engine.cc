@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "common/str_util.h"
-#include "query/cost_model.h"
+#include "query/cardinality.h"
 #include "query/eval_bulk.h"
 #include "query/eval_indexed.h"
 #include "query/eval_nav.h"
@@ -28,30 +28,46 @@ const char* PlanKindToString(PlanKind plan) {
   return "?";
 }
 
+namespace {
+
+/// The integer fields of ExecStats in serialization order. ToString and
+/// ToJson both loop over this one table.
+struct Counter {
+  const char* name;
+  uint64_t ExecStats::*field;
+};
+constexpr Counter kCounters[] = {
+    {"snapshot_bytes", &ExecStats::snapshot_bytes},
+    {"mapped_bytes", &ExecStats::mapped_bytes},
+    {"result_nodes", &ExecStats::result_nodes},
+    {"nodes_scanned", &ExecStats::nodes_scanned},
+    {"join_pairs", &ExecStats::join_pairs},
+    {"pbn_comparisons", &ExecStats::pbn_comparisons},
+    {"bytes_compared", &ExecStats::bytes_compared},
+    {"vjoin_pairs", &ExecStats::vjoin_pairs},
+    {"decoded_batches", &ExecStats::decoded_batches},
+    {"block_skips", &ExecStats::block_skips},
+    {"value_index_lookups", &ExecStats::value_index_lookups},
+    {"value_index_postings", &ExecStats::value_index_postings},
+    {"value_scan_fallbacks", &ExecStats::value_scan_fallbacks},
+    {"zone_map_skips", &ExecStats::zone_map_skips},
+    {"est_rows", &ExecStats::est_rows},
+    {"plan_cache_hits", &ExecStats::plan_cache_hits},
+    {"plan_cache_misses", &ExecStats::plan_cache_misses},
+    {"result_cache_hits", &ExecStats::result_cache_hits},
+    {"result_cache_misses", &ExecStats::result_cache_misses},
+};
+
+}  // namespace
+
 std::string ExecStats::ToString() const {
-  std::string out = "plan=" + std::string(plan) +
-                    " wall_ms=" + std::to_string(wall_ms) +
+  std::string out = "plan=" + plan + " wall_ms=" + std::to_string(wall_ms) +
                     " ingest_ms=" + std::to_string(ingest_ms) +
-                    " snapshot_load=" + (snapshot_load ? "1" : "0") +
-                    " snapshot_bytes=" + std::to_string(snapshot_bytes) +
-                    " mapped_bytes=" + std::to_string(mapped_bytes) +
-                    " result_nodes=" + std::to_string(result_nodes) +
-                    " nodes_scanned=" + std::to_string(nodes_scanned) +
-                    " join_pairs=" + std::to_string(join_pairs) +
-                    " pbn_comparisons=" + std::to_string(pbn_comparisons) +
-                    " bytes_compared=" + std::to_string(bytes_compared) +
-                    " vjoin_pairs=" + std::to_string(vjoin_pairs) +
-                    " decoded_batches=" + std::to_string(decoded_batches) +
-                    " block_skips=" + std::to_string(block_skips) +
-                    " value_index_lookups=" + std::to_string(value_index_lookups) +
-                    " value_index_postings=" + std::to_string(value_index_postings) +
-                    " value_scan_fallbacks=" + std::to_string(value_scan_fallbacks) +
-                    " zone_map_skips=" + std::to_string(zone_map_skips) +
-                    " est_rows=" + std::to_string(est_rows) +
-                    " plan_cache=" + std::to_string(plan_cache_hits) + "h/" +
-                    std::to_string(plan_cache_misses) + "m" +
-                    " result_cache=" + std::to_string(result_cache_hits) +
-                    "h/" + std::to_string(result_cache_misses) + "m\n";
+                    " snapshot_load=" + (snapshot_load ? "1" : "0");
+  for (const Counter& c : kCounters) {
+    out += ' ' + std::string(c.name) + '=' + std::to_string(this->*c.field);
+  }
+  out += '\n';
   for (const StepStats& s : steps) {
     out += "  step " + s.label + ": nodes_out=" + std::to_string(s.nodes_out) +
            " wall_ms=" + std::to_string(s.wall_ms) + "\n";
@@ -61,37 +77,17 @@ std::string ExecStats::ToString() const {
 
 std::string ExecStats::ToJson() const {
   char buf[256];
-  std::string out = "{";
-  auto add_u64 = [&](const char* key, uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64 ",", key, v);
-    out += buf;
-  };
-  out += "\"plan\":\"" + JsonEscape(plan) + "\",";
+  std::string out = "{\"plan\":\"" + JsonEscape(plan) + "\",";
   std::snprintf(buf, sizeof(buf), "\"wall_ms\":%.6f,", wall_ms);
   out += buf;
   std::snprintf(buf, sizeof(buf), "\"ingest_ms\":%.6f,", ingest_ms);
   out += buf;
-  out += std::string("\"snapshot_load\":") +
-         (snapshot_load ? "true," : "false,");
-  add_u64("snapshot_bytes", snapshot_bytes);
-  add_u64("mapped_bytes", mapped_bytes);
-  add_u64("result_nodes", result_nodes);
-  add_u64("nodes_scanned", nodes_scanned);
-  add_u64("join_pairs", join_pairs);
-  add_u64("pbn_comparisons", pbn_comparisons);
-  add_u64("bytes_compared", bytes_compared);
-  add_u64("vjoin_pairs", vjoin_pairs);
-  add_u64("decoded_batches", decoded_batches);
-  add_u64("block_skips", block_skips);
-  add_u64("value_index_lookups", value_index_lookups);
-  add_u64("value_index_postings", value_index_postings);
-  add_u64("value_scan_fallbacks", value_scan_fallbacks);
-  add_u64("zone_map_skips", zone_map_skips);
-  add_u64("est_rows", est_rows);
-  add_u64("plan_cache_hits", plan_cache_hits);
-  add_u64("plan_cache_misses", plan_cache_misses);
-  add_u64("result_cache_hits", result_cache_hits);
-  add_u64("result_cache_misses", result_cache_misses);
+  out += snapshot_load ? "\"snapshot_load\":true," : "\"snapshot_load\":false,";
+  for (const Counter& c : kCounters) {
+    std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64 ",", c.name,
+                  this->*c.field);
+    out += buf;
+  }
   out += "\"steps\":[";
   for (size_t i = 0; i < steps.size(); ++i) {
     const StepStats& s = steps[i];
@@ -150,8 +146,8 @@ void QueryEngine::SetStatsEpoch(uint64_t stats_epoch) {
       stats_epoch) {
     return;
   }
-  // Cached plans were costed under the previous statistics; drop them so
-  // Prepare re-plans against the rebuilt histograms and zone maps.
+  // Cached plans carry estimates from the previous statistics; drop them so
+  // Prepare re-estimates against the rebuilt histograms and zone maps.
   std::lock_guard<std::mutex> lock(cache_mu_);
   lru_.clear();
   cache_index_.clear();
@@ -179,14 +175,11 @@ Result<PreparedQuery> QueryEngine::Prepare(std::string_view path_text) const {
   if (doc_ != nullptr) {
     q.plan_ = PlanKind::kNav;
   } else if (stored_ != nullptr) {
-    // Within the bulk fragment the cost model compares set-at-a-time joins
-    // with the per-node indexed evaluator on the cardinality estimates;
-    // outside it indexed is the only applicable plan.
-    CostModel cm(*stored_);
-    q.plan_ = InBulkFragment(q.path()) && cm.BulkBeatsIndexed(q.path())
-                  ? PlanKind::kBulk
-                  : PlanKind::kIndexed;
-    double est = cm.EstimateResultRows(q.path());
+    // Existence chains evaluate in linear time by semi-join reduction, so
+    // the bulk fragment always runs set-at-a-time; the per-node indexed
+    // evaluator serves only the shapes bulk cannot express.
+    q.plan_ = InBulkFragment(q.path()) ? PlanKind::kBulk : PlanKind::kIndexed;
+    double est = CardinalityEstimator(*stored_).EstimateResultRows(q.path());
     q.est_rows_ = est > 0 ? static_cast<uint64_t>(est + 0.5) : 0;
   } else {
     q.plan_ = PlanKind::kVirtual;
@@ -269,6 +262,7 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
   }
 
   ExecStats& stats = result.stats_;
+  if (options.collect_stats) stats = ctx.TakeStats();
   stats.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -283,20 +277,6 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
   }
   stats.plan_cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.plan_cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  if (options.collect_stats) {
-    stats.nodes_scanned = ctx.nodes_scanned();
-    stats.join_pairs = ctx.join_pairs();
-    stats.pbn_comparisons = ctx.pbn_comparisons();
-    stats.bytes_compared = ctx.bytes_compared();
-    stats.vjoin_pairs = ctx.vjoin_pairs();
-    stats.decoded_batches = ctx.decoded_batches();
-    stats.block_skips = ctx.block_skips();
-    stats.value_index_lookups = ctx.value_index_lookups();
-    stats.value_index_postings = ctx.value_index_postings();
-    stats.value_scan_fallbacks = ctx.value_scan_fallbacks();
-    stats.zone_map_skips = ctx.zone_map_skips();
-    stats.steps = ctx.TakeSteps();
-  }
   return result;
 }
 

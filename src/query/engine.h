@@ -7,9 +7,10 @@
 /// separates the two phases:
 ///
 ///   * **Prepare(path_text)** parses once and plans once — over a
-///     StoredDocument the cost model decides bulk-join vs per-node-indexed;
-///     over a Document it plans navigational; over a VirtualDocument,
-///     virtual (vPBN) evaluation.
+///     StoredDocument, bulk joins when the path lies in the bulk fragment
+///     (InBulkFragment, query/eval_bulk.h) and the per-node indexed
+///     evaluator otherwise; over a Document, navigational; over a
+///     VirtualDocument, virtual (vPBN) evaluation.
 ///   * **Execute(prepared, ExecOverrides)** runs the plan on the calling
 ///     thread, optionally collecting per-query ExecStats.
 ///
@@ -76,8 +77,9 @@ const char* PlanKindToString(PlanKind plan);
 class PreparedQuery {
  public:
   const Path& path() const { return *path_; }
-  /// The plan Execute runs. On a stored document the cost model picks
-  /// bulk or indexed (query/cost_model.h); elsewhere one plan applies.
+  /// The plan Execute runs. On a stored document it is bulk exactly when
+  /// InBulkFragment(path()) holds, else indexed; elsewhere one plan
+  /// applies.
   PlanKind plan() const { return plan_; }
   const std::string& text() const { return text_; }
 
@@ -89,8 +91,8 @@ class PreparedQuery {
   /// Which engine instance, document epoch, and statistics epoch this plan
   /// was prepared against. Execute refuses a plan whose stamp does not
   /// match, so a catalog reload can never silently run a plan prepared
-  /// over the old document — or costed under stale statistics (the stale
-  /// plan surfaces as an Internal error instead).
+  /// over the old document — or estimated under stale statistics (the
+  /// stale plan surfaces as an Internal error instead).
   /// @{
   uint64_t engine_id() const { return engine_id_; }
   uint64_t epoch() const { return epoch_; }
@@ -219,11 +221,11 @@ class QueryEngine {
 
   /// \name Statistics epoch
   /// Generation number of the value-index statistics (histograms + zone
-  /// maps) cached plans were costed under. A catalog that rebuilds or
-  /// reloads statistics without swapping the document bumps this instead of
-  /// the document epoch; like SetEpoch it clears the plan cache and makes
-  /// Execute reject outstanding PreparedQuery handles, so a costed plan can
-  /// never outlive the statistics that justified it.
+  /// maps) cached plans took their est_rows from. A catalog that rebuilds
+  /// or reloads statistics without swapping the document bumps this instead
+  /// of the document epoch; like SetEpoch it clears the plan cache and
+  /// makes Execute reject outstanding PreparedQuery handles, so a plan's
+  /// estimate can never outlive the statistics behind it.
   /// @{
   void SetStatsEpoch(uint64_t stats_epoch);
   uint64_t stats_epoch() const {

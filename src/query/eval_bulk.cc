@@ -71,9 +71,10 @@ std::vector<num::JoinPair> Join(num::Axis axis, const PackedPbnList& ancestors,
           ? num::ParentChildJoin(ancestors, descendants, &jc)
           : num::AncestorDescendantJoin(ancestors, descendants, &jc);
   if (ctx) {
-    ctx->CountJoinPairs(pairs.size());
-    ctx->CountComparisons(jc.comparisons, jc.bytes_compared);
-    ctx->CountBlockSkips(jc.block_skips);
+    ctx->stats().join_pairs += pairs.size();
+    ctx->stats().pbn_comparisons += jc.comparisons;
+    ctx->stats().bytes_compared += jc.bytes_compared;
+    ctx->stats().block_skips += jc.block_skips;
   }
   return pairs;
 }
@@ -147,9 +148,9 @@ PackedPbnList PredScanProbe(const storage::StoredDocument& stored,
     if (keep) out.Append(list[i]);
   }
   if (ctx != nullptr) {
-    ctx->CountValueIndexLookups(list.size() * tts.size());
-    ctx->CountValueIndexPostings(tested);
-    ctx->CountZoneMapSkips(skips);
+    ctx->stats().value_index_lookups += list.size() * tts.size();
+    ctx->stats().value_index_postings += tested;
+    ctx->stats().zone_map_skips += skips;
   }
   return out;
 }
@@ -206,8 +207,8 @@ PackedPbnList PredRowsProbe(const storage::StoredDocument& stored,
     if (keep[i]) out.Append(list[i]);
   }
   if (ctx != nullptr) {
-    ctx->CountValueIndexLookups(list.size() * tts.size());
-    ctx->CountZoneMapSkips(skips);
+    ctx->stats().value_index_lookups += list.size() * tts.size();
+    ctx->stats().zone_map_skips += skips;
   }
   return out;
 }
@@ -248,7 +249,7 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
                                                 : (*bitmap)[term] != 0);
         if (keep) out.Append(list[i]);
       }
-      if (ctx != nullptr) ctx->CountValueIndexLookups(list.size());
+      if (ctx != nullptr) ctx->stats().value_index_lookups += list.size();
       return out;
     }
     case ValuePred::Kind::kPathCompare: {
@@ -290,7 +291,7 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
               witnesses.Append(packed[row]);
             }
           }
-          if (ctx != nullptr) ctx->CountValueScanFallbacks(ids.size());
+          if (ctx != nullptr) ctx->stats().value_scan_fallbacks += ids.size();
         }
       }
       witnesses.SortUnique();
@@ -329,12 +330,12 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
                 stored.doc().StringValue(
                     stored.NodeIdsOfType(best_tt)[best_row]),
                 vp.str_fn, vp.lit.text);
-            if (ctx != nullptr) ctx->CountValueScanFallbacks(1);
+            if (ctx != nullptr) ++ctx->stats().value_scan_fallbacks;
           }
         }
         if (keep) out.Append(list[i]);
       }
-      if (ctx != nullptr) ctx->CountValueIndexLookups(list.size());
+      if (ctx != nullptr) ctx->stats().value_index_lookups += list.size();
       return out;
     }
   }
@@ -488,7 +489,7 @@ State EvalChain(const storage::StoredDocument& stored, const Path& path,
     State next;
     auto add = [&](dg::TypeId nt, PackedPbnList kept) {
       if (kept.empty()) return;
-      if (ctx) ctx->CountNodes(kept.size());
+      if (ctx) ctx->stats().nodes_scanned += kept.size();
       auto it = next.find(nt);
       if (it == next.end()) {
         next.emplace(nt, std::move(kept));

@@ -1,12 +1,19 @@
 /// \file eval_indexed.h
 /// \brief Index-based evaluation over a StoredDocument: the classic
-/// PBN-powered strategy (§4.2).
+/// PBN-powered strategy (§4.2), one context node at a time.
 ///
 /// Name tests select candidate *types* from the DataGuide; the type index
 /// supplies instances in document order; downward axes become containment
-/// scans (binary search on the ordered per-type PBN lists); the remaining
-/// axes are decided by pure number comparison (pbn/axis.h). This is the
-/// query machinery whose virtual twin (eval_virtual.h) the paper builds.
+/// scans (binary search on the ordered per-type PBN lists); parent,
+/// ancestor and sibling axes follow the tree's links; following and
+/// preceding are decided by pure number comparison (pbn/axis.h). This is
+/// the query machinery whose virtual twin (eval_virtual.h) the paper builds.
+///
+/// QueryEngine plans it only for the shapes the set-at-a-time bulk joins
+/// (eval_bulk.h) cannot express: positional and order-sensitive
+/// predicates, and the reverse, sibling and document-order axes. Its value
+/// comparisons read the value index's interned terms (FastStringValue), but
+/// it pushes no predicate down; that is bulk's job.
 ///
 /// Node handles are NodeIds, shared with the Document. A node's number is
 /// its row in its type's packed arena, so no step encodes or hashes a Pbn,
@@ -22,7 +29,6 @@
 #include "common/result.h"
 #include "query/evaluator.h"
 #include "query/path_parser.h"
-#include "query/value_pushdown.h"
 #include "storage/stored_document.h"
 
 namespace vpbn::query {
@@ -33,9 +39,8 @@ class IndexedAdapter {
  public:
   using Node = xml::NodeId;
 
-  /// \p ctx (optional) supplies the stats counters and the per-query
-  /// caches the pushdown paths memoize in; a null ctx changes no strategy,
-  /// it only leaves those out.
+  /// \p ctx (optional) supplies the stats counters; a null ctx changes
+  /// nothing but the counting.
   explicit IndexedAdapter(const storage::StoredDocument& stored,
                           ExecContext* ctx = nullptr)
       : stored_(&stored), ctx_(ctx) {}
@@ -52,27 +57,11 @@ class IndexedAdapter {
   /// when the node's type is covered (see AdapterHasFastStringValue).
   std::optional<std::string_view> FastStringValue(const Node& n) const;
 
-  /// Whole-list predicate pushdown (see AdapterHasBatchPredicate):
-  /// and/or/not trees over recognized value predicates and predicate-free
-  /// existence chains become dictionary/numeric-column lookups intersected
-  /// with packed subtree ranges. Declines (false) when the shape is not
-  /// covered or a terminal type has no value column.
-  bool BatchPredicate(const Expr& pred, const std::vector<Node>& nodes,
-                      std::vector<char>* keep) const;
-
   const storage::StoredDocument& stored() const { return *stored_; }
 
  private:
-  struct BatchGroup;  // per context-type slice of a BatchPredicate call
-
   bool TypeMatches(dg::TypeId t, const NodeTest& test) const;
   std::vector<dg::TypeId> MatchingTypes(const NodeTest& test) const;
-
-  bool CanPushPredicate(const Expr& e,
-                        const std::vector<dg::TypeId>& context_types) const;
-  void EvalBatchPredicate(const Expr& e,
-                          const std::vector<BatchGroup>& groups,
-                          std::vector<char>* keep) const;
 
   const storage::StoredDocument* stored_;
   ExecContext* ctx_ = nullptr;

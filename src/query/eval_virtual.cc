@@ -392,10 +392,11 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
   }
 
   if (ctx_ != nullptr) {
-    ctx_->CountComparisons(counters.comparisons, counters.bytes_compared);
-    ctx_->CountVJoinPairs(counters.vjoin_pairs);
-    ctx_->CountDecodedBatches(counters.decoded_batches);
-    ctx_->CountBlockSkips(counters.block_skips);
+    ctx_->stats().pbn_comparisons += counters.comparisons;
+    ctx_->stats().bytes_compared += counters.bytes_compared;
+    ctx_->stats().vjoin_pairs += counters.vjoin_pairs;
+    ctx_->stats().decoded_batches += counters.decoded_batches;
+    ctx_->stats().block_skips += counters.block_skips;
   }
 
   // Task order is deterministic and the caller sorts downstream (per slot
@@ -725,9 +726,10 @@ bool VirtualAdapter::PathPredicate(const Expr& pred, const ValuePred& vp,
     }
   }
   if (ctx_ != nullptr) {
-    ctx_->CountValueIndexLookups(spans);
-    ctx_->CountComparisons(counters.comparisons, counters.bytes_compared);
-    ctx_->CountVJoinPairs(counters.vjoin_pairs);
+    ctx_->stats().value_index_lookups += spans;
+    ctx_->stats().pbn_comparisons += counters.comparisons;
+    ctx_->stats().bytes_compared += counters.bytes_compared;
+    ctx_->stats().vjoin_pairs += counters.vjoin_pairs;
   }
   return true;
 }
@@ -762,7 +764,7 @@ void VirtualAdapter::AttrPredicate(const ValuePred& vp,
                  : term == idx::kNoTerm ? vp.lit.text.empty()
                                         : (*bitmap)[term] != 0;
   }
-  if (ctx_ != nullptr) ctx_->CountValueIndexLookups(nodes.size());
+  if (ctx_ != nullptr) ctx_->stats().value_index_lookups += nodes.size();
 }
 
 void VirtualAdapter::SortUnique(std::vector<VirtualNode>* nodes) const {
@@ -777,7 +779,7 @@ std::optional<std::string_view> VirtualAdapter::FastStringValue(
     const VirtualNode& n) const {
   const idx::TypeColumn* col = vdoc_->ValueColumn(n.vtype);
   if (col == nullptr) return std::nullopt;
-  if (ctx_ != nullptr) ctx_->CountValueIndexLookups(1);
+  if (ctx_ != nullptr) ++ctx_->stats().value_index_lookups;
   return col->dict->term(
       col->term_ids[vdoc_->stored().RowOfNode(n.node)]);
 }

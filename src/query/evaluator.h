@@ -3,7 +3,7 @@
 ///
 /// The same evaluation logic runs over three substrates:
 ///   * NavAdapter      — tree walking on a Document (query/eval_nav.h)
-///   * IndexedAdapter  — PBN type-index structural joins on a
+///   * IndexedAdapter  — PBN type-index containment scans on a
 ///                       StoredDocument (query/eval_indexed.h)
 ///   * VirtualAdapter  — vPBN joins on a VirtualDocument
 ///                       (query/eval_virtual.h)
@@ -91,9 +91,11 @@ constexpr bool AdapterHasBatchAxisFlat() {
 /// A true return means keep->at(i) records exactly the truth value the
 /// per-node EvalExpr walk would have produced for nodes[i]; false means the
 /// adapter declined (predicate shape or type not covered) and the evaluator
-/// falls back to per-node evaluation. This is how the indexed substrate
-/// turns value predicates into dictionary postings lookups + subtree-range
-/// intersections instead of per-candidate string materialization.
+/// falls back to per-node evaluation. Only the virtual adapter offers it:
+/// a view's value predicates semi-join the context with the terminal
+/// value column's matching rows instead of comparing one assembled string
+/// per candidate. (Stored documents push predicates down in the bulk
+/// plan, eval_bulk.h, not here.)
 template <typename Adapter>
 constexpr bool AdapterHasBatchPredicate() {
   return requires(const Adapter& a, const Expr& pred,
@@ -287,7 +289,7 @@ class PathEvaluator {
           break;  // no ancestors/siblings of the document node
       }
       adapter_->SortUnique(&from_doc);
-      if (ctx_) ctx_->CountNodes(from_doc.size());
+      if (ctx_) ctx_->stats().nodes_scanned += from_doc.size();
       VPBN_ASSIGN_OR_RETURN(from_doc, ApplyPredicates(step, std::move(from_doc)));
       Append(&next, std::move(from_doc));
     }
@@ -300,7 +302,7 @@ class PathEvaluator {
       s.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-      ctx_->RecordStep(std::move(s));
+      ctx_->stats().steps.push_back(std::move(s));
     }
     return EvalSteps(path, idx + 1, end, std::move(next),
                      next_has_document_node, record_stats);
@@ -317,7 +319,7 @@ class PathEvaluator {
       if (step.predicates.empty()) {
         const size_t before = next->size();
         if (adapter_->BatchAxisFlat(context, step.axis, step.test, next)) {
-          if (ctx_) ctx_->CountNodes(next->size() - before);
+          if (ctx_) ctx_->stats().nodes_scanned += next->size() - before;
           return Status::OK();
         }
         // Declined, and BatchAxis declines on the same conditions: go
@@ -335,7 +337,7 @@ class PathEvaluator {
     for (const Node& n : context) {
       std::vector<Node> axis_result = adapter_->Axis(n, step.axis, step.test);
       adapter_->SortUnique(&axis_result);
-      if (ctx_) ctx_->CountNodes(axis_result.size());
+      if (ctx_) ctx_->stats().nodes_scanned += axis_result.size();
       VPBN_ASSIGN_OR_RETURN(axis_result,
                             ApplyPredicates(step, std::move(axis_result)));
       Append(next, std::move(axis_result));
@@ -353,7 +355,7 @@ class PathEvaluator {
                            std::vector<Node>* next) {
     for (std::vector<Node>& slot : slots) {
       adapter_->SortUnique(&slot);
-      if (ctx_) ctx_->CountNodes(slot.size());
+      if (ctx_) ctx_->stats().nodes_scanned += slot.size();
       VPBN_ASSIGN_OR_RETURN(slot, ApplyPredicates(step, std::move(slot)));
       Append(next, std::move(slot));
     }

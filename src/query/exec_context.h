@@ -3,20 +3,16 @@
 /// behind ExecStats and the per-query caches.
 ///
 /// An ExecContext is owned by one QueryEngine::Execute call (query/engine.h)
-/// and shared by every evaluator frame of that execution, which runs on the
-/// calling thread. Counters are atomic, step records are mutex-guarded and
-/// Cached builds once per key, so the type stays safe to share should a
-/// caller hand one context to several threads. A null ExecContext (the
+/// and shared by every evaluator frame of that execution, all on the
+/// calling thread, so its counters are plain fields. A null ExecContext (the
 /// default everywhere) means no counters and no per-query caches; the
 /// evaluators pick the same strategies either way.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -97,122 +93,31 @@ class ExecContext {
   /// matching-vtype lists (so repeated steps and every context group of a
   /// batch step do not rescan the whole type forest), value-pushdown
   /// (predicate, type) -> matching-row lists, term bitmaps, view witness
-  /// sides. \p build runs at most once per key and execution, even when
-  /// several threads ask at once (the others wait for it), so work counted
-  /// inside a build is counted once. Entries are shared_ptr so a caller can
-  /// keep reading while other threads insert. One key must always be asked
-  /// for with one T.
+  /// sides. \p build runs once per key and execution, so work counted
+  /// inside a build is counted once. A build may itself call Cached for
+  /// other keys: the value is built first and inserted after. Entries are
+  /// shared_ptr, so a caller's handle outlives later inserts. One key must
+  /// always be asked for with one T.
   template <typename T, typename Build>
   std::shared_ptr<const T> Cached(const std::string& key, Build&& build) {
-    std::shared_ptr<CacheEntry> entry;
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      std::shared_ptr<CacheEntry>& slot = cache_[key];
-      if (slot == nullptr) slot = std::make_shared<CacheEntry>();
-      entry = slot;
+    if (auto it = cache_.find(key); it != cache_.end()) {
+      return std::static_pointer_cast<const T>(it->second);
     }
-    std::call_once(entry->once, [&] {
-      entry->value = std::make_shared<const T>(build());
-    });
-    return std::static_pointer_cast<const T>(entry->value);
+    auto value = std::make_shared<const T>(build());
+    cache_.emplace(key, value);
+    return value;
   }
 
-  void CountNodes(uint64_t n) {
-    nodes_scanned_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountJoinPairs(uint64_t n) {
-    join_pairs_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountComparisons(uint64_t comparisons, uint64_t bytes) {
-    pbn_comparisons_.fetch_add(comparisons, std::memory_order_relaxed);
-    bytes_compared_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void CountVJoinPairs(uint64_t n) {
-    vjoin_pairs_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountDecodedBatches(uint64_t n) {
-    decoded_batches_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountBlockSkips(uint64_t n) {
-    block_skips_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountValueIndexLookups(uint64_t n) {
-    value_index_lookups_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountValueIndexPostings(uint64_t n) {
-    value_index_postings_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountValueScanFallbacks(uint64_t n) {
-    value_scan_fallbacks_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountZoneMapSkips(uint64_t n) {
-    zone_map_skips_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void RecordStep(StepStats step) {
-    std::lock_guard<std::mutex> lock(steps_mu_);
-    steps_.push_back(std::move(step));
-  }
-
-  uint64_t nodes_scanned() const {
-    return nodes_scanned_.load(std::memory_order_relaxed);
-  }
-  uint64_t join_pairs() const {
-    return join_pairs_.load(std::memory_order_relaxed);
-  }
-  uint64_t pbn_comparisons() const {
-    return pbn_comparisons_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_compared() const {
-    return bytes_compared_.load(std::memory_order_relaxed);
-  }
-  uint64_t vjoin_pairs() const {
-    return vjoin_pairs_.load(std::memory_order_relaxed);
-  }
-  uint64_t decoded_batches() const {
-    return decoded_batches_.load(std::memory_order_relaxed);
-  }
-  uint64_t block_skips() const {
-    return block_skips_.load(std::memory_order_relaxed);
-  }
-  uint64_t value_index_lookups() const {
-    return value_index_lookups_.load(std::memory_order_relaxed);
-  }
-  uint64_t value_index_postings() const {
-    return value_index_postings_.load(std::memory_order_relaxed);
-  }
-  uint64_t value_scan_fallbacks() const {
-    return value_scan_fallbacks_.load(std::memory_order_relaxed);
-  }
-  uint64_t zone_map_skips() const {
-    return zone_map_skips_.load(std::memory_order_relaxed);
-  }
-  std::vector<StepStats> TakeSteps() {
-    std::lock_guard<std::mutex> lock(steps_mu_);
-    return std::move(steps_);
-  }
+  /// The counters and step records of this execution. Evaluators add to
+  /// them; the engine moves them out (TakeStats) and stamps the rest.
+  ExecStats& stats() { return stats_; }
+  ExecStats TakeStats() { return std::move(stats_); }
 
  private:
   bool collect_stats_ = false;
   bool force_vjoin_merge_ = false;
-  std::atomic<uint64_t> nodes_scanned_{0};
-  std::atomic<uint64_t> join_pairs_{0};
-  std::atomic<uint64_t> pbn_comparisons_{0};
-  std::atomic<uint64_t> bytes_compared_{0};
-  std::atomic<uint64_t> vjoin_pairs_{0};
-  std::atomic<uint64_t> decoded_batches_{0};
-  std::atomic<uint64_t> block_skips_{0};
-  std::atomic<uint64_t> value_index_lookups_{0};
-  std::atomic<uint64_t> value_index_postings_{0};
-  std::atomic<uint64_t> value_scan_fallbacks_{0};
-  std::atomic<uint64_t> zone_map_skips_{0};
-  std::mutex steps_mu_;
-  std::vector<StepStats> steps_;
-  struct CacheEntry {
-    std::once_flag once;
-    std::shared_ptr<const void> value;
-  };
-  std::mutex cache_mu_;
-  std::unordered_map<std::string, std::shared_ptr<CacheEntry>> cache_;
+  ExecStats stats_;
+  std::unordered_map<std::string, std::shared_ptr<const void>> cache_;
 };
 
 }  // namespace vpbn::query

@@ -184,8 +184,8 @@ std::vector<uint32_t> CollectMatchingRows(const idx::TypeColumn& col,
     }
   }
   if (ctx != nullptr) {
-    ctx->CountValueIndexLookups(lookups);
-    ctx->CountValueIndexPostings(rows.size());
+    ctx->stats().value_index_lookups += lookups;
+    ctx->stats().value_index_postings += rows.size();
   }
   return rows;
 }

@@ -2,9 +2,10 @@
 /// \brief Shared planning pieces for pushing value predicates into the
 /// dictionary-encoded value index (index/value_index.h).
 ///
-/// Both set-at-a-time evaluation (query/eval_bulk.cc) and the per-node
-/// indexed adapter (query/eval_indexed.h) recognize the same predicate
-/// shapes and answer them from the same index structures:
+/// Set-at-a-time evaluation (query/eval_bulk.cc) and the view adapter's
+/// witness-first predicates (query/eval_virtual.h) recognize the same
+/// predicate shapes and answer them from the same index structures; the
+/// per-node indexed adapter (query/eval_indexed.h) pushes nothing down:
 ///
 ///   [path op literal]        -> per terminal type, a postings lookup
 ///                               (equality) or a binary-searched slice of

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "query/eval_bulk.h"
 #include "vpbn/virtual_value.h"
 #include "xml/serializer.h"
 #include "xquery/xq_parser.h"
@@ -415,15 +416,22 @@ Result<Sequence> Engine::EvalExpr(const XqExpr& expr, Env* env) {
         }
         return out;
       }
-      // Navigate through the PBN indexes of the stored form.
+      // Navigate through the PBN indexes of the stored form, on the plan
+      // QueryEngine would pick: set-at-a-time joins for the bulk fragment
+      // (never a path ending in an @attr step), per node otherwise.
+      const storage::StoredDocument& stored = *it->second.stored;
       size_t nav_steps = 0;
       const std::string* attr_name = nullptr;
       bool attr_terminal =
           AttributeTerminal(expr.path, &nav_steps, &attr_name);
-      query::IndexedAdapter adapter(*it->second.stored);
-      query::PathEvaluator<query::IndexedAdapter> eval(adapter);
-      VPBN_ASSIGN_OR_RETURN(std::vector<xml::NodeId> ids,
-                            eval.EvalPrefix(expr.path, nav_steps));
+      query::IndexedAdapter adapter(stored);
+      std::vector<xml::NodeId> ids;
+      if (query::InBulkFragment(expr.path)) {
+        VPBN_ASSIGN_OR_RETURN(ids, query::EvalBulk(stored, expr.path));
+      } else {
+        query::PathEvaluator<query::IndexedAdapter> eval(adapter);
+        VPBN_ASSIGN_OR_RETURN(ids, eval.EvalPrefix(expr.path, nav_steps));
+      }
       for (xml::NodeId id : ids) {
         if (attr_terminal) {
           auto value = adapter.Attribute(id, *attr_name);

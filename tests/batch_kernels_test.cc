@@ -352,10 +352,9 @@ TEST(BatchKernelTest, DecodeBlockAgreesWithScalarOnCorruptInput) {
   }
 }
 
-/// Join output must be identical with block skipping on or off, over
-/// random lists.
+/// The packed joins skip blocks; their output must equal the vector
+/// reference joins', which skip nothing, over random lists.
 TEST(BatchKernelTest, JoinOutputIdenticalWithBlockSkipping) {
-  ASSERT_TRUE(JoinBlockSkippingEnabled());  // default on
   Rng rng(31337);
 
   for (int iter = 0; iter < 6; ++iter) {
@@ -374,21 +373,19 @@ TEST(BatchKernelTest, JoinOutputIdenticalWithBlockSkipping) {
     desc_pbns.erase(std::unique(desc_pbns.begin(), desc_pbns.end()),
                     desc_pbns.end());
     PackedPbnList desc = PackedPbnList::FromPbns(desc_pbns);
-
-    SetJoinBlockSkipping(false);
-    std::vector<JoinPair> ad_base = AncestorDescendantJoin(anc, desc, nullptr);
-    std::vector<JoinPair> pc_base = ParentChildJoin(anc, desc, nullptr);
-    SetJoinBlockSkipping(true);
+    const std::vector<Pbn> anc_pbns = anc.MaterializeAll();
 
     JoinCounters jc;
-    EXPECT_EQ(AncestorDescendantJoin(anc, desc, &jc), ad_base);
-    EXPECT_EQ(ParentChildJoin(anc, desc, nullptr), pc_base);
+    EXPECT_EQ(AncestorDescendantJoin(anc, desc, &jc),
+              AncestorDescendantJoin(anc_pbns, desc_pbns));
+    EXPECT_EQ(ParentChildJoin(anc, desc, nullptr),
+              ParentChildJoin(anc_pbns, desc_pbns));
   }
 }
 
-/// On a real auctions index the skipping path must both match the
-/// unskipped output and actually skip blocks (the counter observability
-/// the STATS surface reports).
+/// On a real auctions index the packed join must both match the vector
+/// reference join and actually skip blocks (the counter observability the
+/// STATS surface reports).
 TEST(BatchKernelTest, AuctionsJoinSkipsBlocksAndMatches) {
   workload::AuctionsOptions opts;
   opts.num_items = 200;
@@ -406,15 +403,10 @@ TEST(BatchKernelTest, AuctionsJoinSkipsBlocksAndMatches) {
   const PackedPbnList& desc = stored.PackedNodesOfType(*personref);
   ASSERT_GT(desc.size(), kPbnBlockEntries);
 
-  SetJoinBlockSkipping(false);
-  JoinCounters base_jc;
-  std::vector<JoinPair> base = AncestorDescendantJoin(anc, desc, &base_jc);
-  SetJoinBlockSkipping(true);
+  const std::vector<Pbn> desc_pbns = desc.MaterializeAll();
   JoinCounters skip_jc;
-  std::vector<JoinPair> skipped = AncestorDescendantJoin(anc, desc, &skip_jc);
-
-  EXPECT_EQ(skipped, base);
-  EXPECT_EQ(base_jc.block_skips, 0u);
+  EXPECT_EQ(AncestorDescendantJoin(anc, desc, &skip_jc),
+            AncestorDescendantJoin(anc.MaterializeAll(), desc_pbns));
   // Dense overlapping lists may legitimately skip nothing; join a sparse
   // ancestor subset to force key gaps wider than a block.
   // Keep every 300th auction so the gaps between kept ancestors span more
@@ -422,12 +414,9 @@ TEST(BatchKernelTest, AuctionsJoinSkipsBlocksAndMatches) {
   // whole block strictly between two consecutive ancestors.
   PackedPbnList sparse;
   for (size_t i = 0; i < anc.size(); i += 300) sparse.Append(anc[i]);
-  SetJoinBlockSkipping(false);
-  std::vector<JoinPair> sparse_base =
-      AncestorDescendantJoin(sparse, desc, nullptr);
-  SetJoinBlockSkipping(true);
   JoinCounters sparse_jc;
-  EXPECT_EQ(AncestorDescendantJoin(sparse, desc, &sparse_jc), sparse_base);
+  EXPECT_EQ(AncestorDescendantJoin(sparse, desc, &sparse_jc),
+            AncestorDescendantJoin(sparse.MaterializeAll(), desc_pbns));
   EXPECT_GT(skip_jc.block_skips + sparse_jc.block_skips, 0u);
 }
 

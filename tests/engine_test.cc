@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "pbn/numbering.h"
+#include "query/eval_bulk.h"
 #include "storage/snapshot.h"
 #include "tests/test_util.h"
 #include "vpbn/virtual_document.h"
@@ -43,15 +45,26 @@ TEST(EngineTest, PlansPerSubstrate) {
   ASSERT_TRUE(p_nav.ok());
   EXPECT_EQ(p_nav->plan(), PlanKind::kNav);
 
-  // Bulk fragment: child/descendant steps with existential predicates.
-  auto p_bulk = idx.Prepare("//book[author/name]/title");
-  ASSERT_TRUE(p_bulk.ok());
-  EXPECT_EQ(p_bulk->plan(), PlanKind::kBulk);
-
-  // Positional predicates fall out of the bulk fragment.
-  auto p_idx = idx.Prepare("/data/book[2]/title");
-  ASSERT_TRUE(p_idx.ok());
-  EXPECT_EQ(p_idx->plan(), PlanKind::kIndexed);
+  // One rule plans a stored document: bulk exactly for the paths in the
+  // bulk fragment (child/descendant chains with existence and value
+  // predicates), the per-node indexed plan for every other path.
+  std::set<PlanKind> stored_plans;
+  for (const char* path :
+       {"//title", "/data/book/title", "//book[author/name]/title",
+        "//book[title = \"X\"]/author", "//book[@year > 1990]",
+        "//book[contains(title, \"X\")]", "//book//text()",
+        "//book[not(author)]", "/data/book[2]/title", "//title/..",
+        "//author/following-sibling::*", "//name/ancestor::book",
+        "//book[count(author) = 1]", "//book[author or title]"}) {
+    SCOPED_TRACE(path);
+    auto q = idx.Prepare(path);
+    ASSERT_TRUE(q.ok()) << q.status();
+    EXPECT_EQ(q->plan(),
+              InBulkFragment(q->path()) ? PlanKind::kBulk : PlanKind::kIndexed);
+    stored_plans.insert(q->plan());
+  }
+  EXPECT_EQ(stored_plans,
+            (std::set<PlanKind>{PlanKind::kBulk, PlanKind::kIndexed}));
 
   auto p_virt = virt_engine.Prepare("//title");
   ASSERT_TRUE(p_virt.ok());
@@ -348,6 +361,43 @@ TEST(EngineTest, ExecStatsJsonIsSingleLineAndComplete) {
         "\"nodes_scanned\":", "\"plan_cache_hits\":", "\"steps\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
   }
+}
+
+// perfbench, vpbnq --json and the vpbnd STATS verb parse this line, so the
+// serialization is pinned byte for byte, every field set to a distinct
+// value.
+TEST(EngineTest, ExecStatsJsonIsByteStable) {
+  ExecStats s;
+  s.plan = "bulk";
+  s.wall_ms = 1.5;
+  s.ingest_ms = 0.25;
+  s.snapshot_load = true;
+  uint64_t v = 0;
+  for (uint64_t* field :
+       {&s.snapshot_bytes, &s.mapped_bytes, &s.result_nodes,
+        &s.nodes_scanned, &s.join_pairs, &s.pbn_comparisons,
+        &s.bytes_compared, &s.vjoin_pairs, &s.decoded_batches,
+        &s.block_skips, &s.value_index_lookups, &s.value_index_postings,
+        &s.value_scan_fallbacks, &s.zone_map_skips, &s.est_rows,
+        &s.plan_cache_hits, &s.plan_cache_misses, &s.result_cache_hits,
+        &s.result_cache_misses}) {
+    *field = ++v;
+  }
+  s.steps.push_back({"child::a", 20, 0.125});
+  s.steps.push_back({"q\"x", 21, 2});
+  EXPECT_EQ(
+      s.ToJson(),
+      "{\"plan\":\"bulk\",\"wall_ms\":1.500000,\"ingest_ms\":0.250000,"
+      "\"snapshot_load\":true,\"snapshot_bytes\":1,\"mapped_bytes\":2,"
+      "\"result_nodes\":3,\"nodes_scanned\":4,\"join_pairs\":5,"
+      "\"pbn_comparisons\":6,\"bytes_compared\":7,\"vjoin_pairs\":8,"
+      "\"decoded_batches\":9,\"block_skips\":10,"
+      "\"value_index_lookups\":11,\"value_index_postings\":12,"
+      "\"value_scan_fallbacks\":13,\"zone_map_skips\":14,\"est_rows\":15,"
+      "\"plan_cache_hits\":16,\"plan_cache_misses\":17,"
+      "\"result_cache_hits\":18,\"result_cache_misses\":19,\"steps\":["
+      "{\"label\":\"child::a\",\"nodes_out\":20,\"wall_ms\":0.125000},"
+      "{\"label\":\"q\\\"x\",\"nodes_out\":21,\"wall_ms\":2.000000}]}");
 }
 
 // vpbnd runs requests for one document on several workers at once, each

@@ -244,7 +244,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismTest,
 /// NodeIds are not in preorder, and an evaluator or merge that ordered
 /// results by NodeId fails here. The battery reaches both stored plans:
 /// bulk chains, `//*` (every element type, merged from per-type runs), and
-/// order axes and positional predicates (the indexed plan).
+/// order and sibling axes and positional predicates (the indexed plan).
 class StoredMatchesNavTest : public ::testing::TestWithParam<uint64_t> {};
 
 void ExpectStoredMatchesNav(
@@ -259,6 +259,8 @@ void ExpectStoredMatchesNav(
       "//e2/text()",   "//e0[e1]/e2",      "//*",
       "//e1//*",       "//text()",         "/r0/*",
       "//e1/following::e2",                "//e0/preceding-sibling::*",
+      "//e1/following-sibling::e1",        "//e0/following-sibling::*[1]",
+      "//*/following-sibling::node()",     "//e2/preceding-sibling::e2[1]",
       "//e2/ancestor::*",                  "//e3/..",
       "//e1[2]",       "//e0/*[1]",        "//*[e2][1]//e3",
   };
