@@ -169,32 +169,6 @@ int main(int argc, char** argv) {
     }
     sink += hits;
   });
-  // The batched kernel makes the same decisions per probe over the same
-  // window, but as one CompareKeysBatch call per run (SIMD over the key
-  // column, scalar tie-break only on equal keys). A window that wraps the
-  // ancestor list splits into two runs.
-  double kern_batch_ms = bench::MedianMs(kReps, [&] {
-    size_t hits = 0;
-    const uint64_t* a_key = p_auction.keys_data();
-    const uint32_t* a_off = p_auction.offsets_data();
-    const char* a_arena = p_auction.arena_data();
-    for (size_t i = 0; i < n_desc; ++i) {
-      const num::PackedPbnRef probe = p_personref[i];
-      size_t base = (i * 2654435761u) % n_anc;
-      size_t first = kWindow < n_anc - base ? kWindow : n_anc - base;
-      num::BatchCounts bc =
-          num::CompareKeysBatch(a_key, a_off, a_arena, base, first, probe);
-      if (first < kWindow) {
-        num::BatchCounts tail = num::CompareKeysBatch(
-            a_key, a_off, a_arena, 0, kWindow - first, probe);
-        bc.less += tail.less;
-        bc.prefix += tail.prefix;
-      }
-      hits += bc.less + bc.prefix;
-    }
-    sink += hits;
-  });
-
   // --- Parent-child join: bidder -> personref -------------------------
   JoinCounters pc_counters;
   std::vector<JoinPair> pc_pairs =
@@ -213,12 +187,6 @@ int main(int argc, char** argv) {
   double pk_cmp_per_s =
       static_cast<double>(kernel_decisions) / (kern_packed_ms / 1000.0);
   double cmp_speedup = vec_cmp_per_s > 0 ? pk_cmp_per_s / vec_cmp_per_s : 0;
-  double batch_cmp_per_s =
-      static_cast<double>(kernel_decisions) / (kern_batch_ms / 1000.0);
-  double batch_vs_vector =
-      vec_cmp_per_s > 0 ? batch_cmp_per_s / vec_cmp_per_s : 0;
-  double batch_vs_scalar =
-      pk_cmp_per_s > 0 ? batch_cmp_per_s / pk_cmp_per_s : 0;
 
   bench::Table join_table({"join", "variant", "ms", "pairs", "Mcmp/s"});
   auto mcmps = [](uint64_t cmp, double ms) {
@@ -250,10 +218,6 @@ int main(int argc, char** argv) {
   std::printf("A-D comparison throughput: vector %.1f Mcmp/s, packed %.1f "
               "Mcmp/s => %.2fx\n",
               vec_cmp_per_s / 1e6, pk_cmp_per_s / 1e6, cmp_speedup);
-  std::printf("A-D batched kernel (%s): %.2f ms, %.1f Mcmp/s => %.2fx vs "
-              "vector, %.2fx vs scalar packed\n",
-              num::BatchKernelIsa(), kern_batch_ms, batch_cmp_per_s / 1e6,
-              batch_vs_vector, batch_vs_scalar);
 
   // --- Space per node (E5 extension) ----------------------------------
   size_t n_nodes = 0, vector_bytes = 0, packed_bytes = 0, arena_bytes = 0;
@@ -324,13 +288,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(kernel_decisions),
                kern_vector_ms, kern_packed_ms, vec_cmp_per_s, pk_cmp_per_s,
                cmp_speedup);
-  std::fprintf(out,
-               "  \"comparison_throughput_batched\": {\"isa\": \"%s\", "
-               "\"batched_ms\": %.4f, \"batched_cmp_per_s\": %.0f, "
-               "\"speedup_vs_vector\": %.3f, "
-               "\"speedup_vs_scalar_packed\": %.3f},\n",
-               num::BatchKernelIsa(), kern_batch_ms, batch_cmp_per_s,
-               batch_vs_vector, batch_vs_scalar);
   std::fprintf(out,
                "  \"space\": {\"nodes\": %zu, \"vector_bytes_per_node\": "
                "%.2f, \"packed_bytes_per_node\": %.2f, "

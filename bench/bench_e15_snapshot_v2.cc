@@ -1,11 +1,10 @@
 /// \file bench_e15_snapshot_v2.cc
-/// \brief E15: snapshot format v2 — compressed size vs v1 and vs the
-/// source XML, cold-start load latency of the v1 copy-load against the v2
-/// mmap load, and end-to-end first-query latency from either format, on
-/// the same auctions corpus E13 uses.
+/// \brief E15: snapshot format v2 — compressed size vs the source XML,
+/// cold-start load latency of the copy-load against the mmap load, and
+/// end-to-end first-query latency, on the same auctions corpus E13 uses.
 ///
-/// The load paths are gated on correctness first: both formats must
-/// restore documents that re-snapshot to identical v2 bytes and answer the
+/// The load paths are gated on correctness first: both must restore
+/// documents that re-snapshot to the built document's bytes and answer the
 /// probe query with the same result count before anything is timed.
 ///
 ///   $ ./bench_e15_snapshot_v2 [num_auctions] [out.json]
@@ -64,35 +63,33 @@ int main(int argc, char** argv) {
   storage::StoredDocument stored =
       storage::StoredDocument::Build(std::move(*parsed));
 
-  std::string v1 = storage::Snapshot::Write(stored, 1);
-  std::string v2 = storage::Snapshot::Write(stored, 2);
-  const std::string v1_path = std::string("/tmp/bench_e15_v1.vpsn");
+  std::string v2 = storage::Snapshot::Write(stored);
   const std::string v2_path = std::string("/tmp/bench_e15_v2.vpsn");
-  if (!storage::Snapshot::WriteFile(stored, v1_path, 1).ok() ||
-      !storage::Snapshot::WriteFile(stored, v2_path, 2).ok()) {
-    std::fprintf(stderr, "cannot write snapshot files\n");
+  if (!storage::Snapshot::WriteFile(stored, v2_path).ok()) {
+    std::fprintf(stderr, "cannot write snapshot file\n");
     return 1;
   }
 
-  // Correctness gate: both formats restore documents that re-snapshot to
-  // the same bytes and agree on the probe query.
+  // Correctness gate: the copy-load and the mmap load restore documents
+  // that re-snapshot to the built document's bytes and agree on the probe
+  // query.
   size_t probe_hits = 0;
   {
-    auto from_v1 = storage::Snapshot::LoadFile(v1_path, false);
-    auto from_v2 = storage::Snapshot::LoadFile(v2_path, true);
-    if (!from_v1.ok() || !from_v2.ok()) {
+    auto copied = storage::Snapshot::LoadFile(v2_path, false);
+    auto mapped = storage::Snapshot::LoadFile(v2_path, true);
+    if (!copied.ok() || !mapped.ok()) {
       std::fprintf(stderr, "load failed\n");
       return 1;
     }
-    if (storage::Snapshot::Write(*from_v1) !=
-        storage::Snapshot::Write(*from_v2)) {
-      std::fprintf(stderr, "MISMATCH: v1/v2 restores differ\n");
+    if (storage::Snapshot::Write(*copied) != v2 ||
+        storage::Snapshot::Write(*mapped) != v2) {
+      std::fprintf(stderr, "MISMATCH: restores differ from the build\n");
       return 1;
     }
     auto s1 = std::make_shared<const storage::StoredDocument>(
-        std::move(*from_v1));
+        std::move(*copied));
     auto s2 = std::make_shared<const storage::StoredDocument>(
-        std::move(*from_v2));
+        std::move(*mapped));
     size_t h1 = query::QueryEngine(s1).Execute(kQuery, {})->size();
     size_t h2 = query::QueryEngine(s2).Execute(kQuery, {})->size();
     if (h1 != h2) {
@@ -103,22 +100,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "E15 — snapshot v2 (auctions, %d auctions; xml %zu B, v1 %zu B, "
-      "v2 %zu B => %.2fx vs v1, %.2fx vs xml)\n\n",
-      opts.num_auctions, xml_text.size(), v1.size(), v2.size(),
-      v2.empty() ? 0 : static_cast<double>(v1.size()) / v2.size(),
+      "E15 — snapshot v2 (auctions, %d auctions; xml %zu B, v2 %zu B => "
+      "%.2fx vs xml)\n\n",
+      opts.num_auctions, xml_text.size(), v2.size(),
       v2.empty() ? 0 : static_cast<double>(xml_text.size()) / v2.size());
 
   // --- Cold-start load latency ----------------------------------------
-  // v1 copy-load is the pre-v2 production path (read file, validate every
-  // number structurally, rebuild columns). v2 mmap is the new default
-  // (checksum, derive, leave arenas lazy). v2 copy isolates the mmap win
-  // from the format win. First-touch decode is charged where a workload
-  // pays it: the first-query medians below run a real query after load.
-  double v1_copy_ms = bench::MedianMs(reps, [&] {
-    auto r = storage::Snapshot::LoadFile(v1_path, false);
-    if (!r.ok()) std::abort();
-  });
+  // The mmap load is the default (checksum, derive, leave arenas lazy);
+  // the copy-load isolates what the mapping saves. First-touch decode is
+  // charged where a workload pays it: the first-query median below runs a
+  // real query after load.
   double v2_copy_ms = bench::MedianMs(reps, [&] {
     auto r = storage::Snapshot::LoadFile(v2_path, false);
     if (!r.ok()) std::abort();
@@ -139,20 +130,13 @@ int main(int argc, char** argv) {
       if (engine.Execute(kQuery, {})->size() != probe_hits) std::abort();
     });
   };
-  double v1_first_ms = first_query(v1_path, false);
   double v2_first_ms = first_query(v2_path, true);
 
   bench::Table table({"path", "ms"});
-  table.AddRow({"v1 copy-load", Fmt(v1_copy_ms)});
   table.AddRow({"v2 copy-load", Fmt(v2_copy_ms)});
   table.AddRow({"v2 mmap-load", Fmt(v2_mmap_ms)});
-  table.AddRow({"v1 load+query", Fmt(v1_first_ms)});
   table.AddRow({"v2 load+query (mmap)", Fmt(v2_first_ms)});
   table.Print();
-  std::printf(
-      "\nv2 mmap load vs v1 copy load: %.2fx; load+first-query: %.2fx\n",
-      v2_mmap_ms > 0 ? v1_copy_ms / v2_mmap_ms : 0,
-      v2_first_ms > 0 ? v1_first_ms / v2_first_ms : 0);
 
   FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -166,27 +150,19 @@ int main(int argc, char** argv) {
                "%d, \"probe_hits\": %zu},\n",
                opts.num_auctions, probe_hits);
   std::fprintf(out,
-               "  \"sizes\": {\"xml_bytes\": %zu, \"v1_bytes\": %zu, "
-               "\"v2_bytes\": %zu, \"v2_vs_v1\": %.3f, \"v2_vs_xml\": "
-               "%.3f},\n",
-               xml_text.size(), v1.size(), v2.size(),
-               v2.empty() ? 0 : static_cast<double>(v1.size()) / v2.size(),
+               "  \"sizes\": {\"xml_bytes\": %zu, \"v2_bytes\": %zu, "
+               "\"v2_vs_xml\": %.3f},\n",
+               xml_text.size(), v2.size(),
                v2.empty() ? 0
                           : static_cast<double>(xml_text.size()) / v2.size());
   std::fprintf(out,
-               "  \"load\": {\"v1_copy_ms\": %.4f, \"v2_copy_ms\": %.4f, "
-               "\"v2_mmap_ms\": %.4f, \"v2_mmap_vs_v1_copy\": %.3f},\n",
-               v1_copy_ms, v2_copy_ms, v2_mmap_ms,
-               v2_mmap_ms > 0 ? v1_copy_ms / v2_mmap_ms : 0);
-  std::fprintf(out,
-               "  \"first_query\": {\"v1_ms\": %.4f, \"v2_mmap_ms\": %.4f, "
-               "\"speedup\": %.3f}\n",
-               v1_first_ms, v2_first_ms,
-               v2_first_ms > 0 ? v1_first_ms / v2_first_ms : 0);
+               "  \"load\": {\"v2_copy_ms\": %.4f, \"v2_mmap_ms\": %.4f},\n",
+               v2_copy_ms, v2_mmap_ms);
+  std::fprintf(out, "  \"first_query\": {\"v2_mmap_ms\": %.4f}\n",
+               v2_first_ms);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path);
-  std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
   return 0;
 }

@@ -117,13 +117,6 @@ void PackedPbnList::Append(const Pbn& pbn) {
       arena_.data() + begin, static_cast<uint32_t>(arena_.size()) - begin));
 }
 
-void PackedPbnList::Append(const PackedPbnRef& ref) {
-  arena_.append(ref.data(), ref.size_bytes());
-  offsets_.push_back(static_cast<uint32_t>(arena_.size()));
-  lengths_.push_back(ref.length());
-  keys_.push_back(ref.key());
-}
-
 std::vector<Pbn> PackedPbnList::MaterializeAll() const {
   std::vector<Pbn> out;
   out.reserve(size());
@@ -187,60 +180,6 @@ Result<PackedPbnList> PackedPbnList::FromArena(std::string arena,
   return out;
 }
 
-void PackedPbnList::SortUnique() {
-  std::vector<size_t> order(size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return (*this)[a].Compare((*this)[b]) < 0;
-  });
-  PackedPbnList sorted;
-  sorted.Reserve(size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    PackedPbnRef r = (*this)[order[i]];
-    if (i > 0 && r == sorted[sorted.size() - 1]) continue;
-    sorted.Append(r);
-  }
-  *this = std::move(sorted);
-}
-
-PackedPbnList PackedPbnList::MergeUnique(const PackedPbnList& a,
-                                         const PackedPbnList& b) {
-  PackedPbnList out;
-  out.Reserve(a.size() + b.size());
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size()) {
-      out.Append(a[i++]);
-    } else if (i >= a.size()) {
-      out.Append(b[j++]);
-    } else {
-      int c = a[i].Compare(b[j]);
-      if (c < 0) {
-        out.Append(a[i++]);
-      } else if (c > 0) {
-        out.Append(b[j++]);
-      } else {
-        out.Append(a[i++]);
-        ++j;
-      }
-    }
-  }
-  return out;
-}
-
-size_t PackedPbnList::LowerBound(const PackedPbnRef& key) const {
-  size_t lo = 0, hi = size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if ((*this)[mid].Compare(key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 std::pair<size_t, size_t> PackedPbnList::PrefixRange(
     const PackedPbnRef& scope) const {
   // Descendants-or-self of `scope` form one contiguous run starting at the
@@ -248,17 +187,23 @@ std::pair<size_t, size_t> PackedPbnList::PrefixRange(
   // does not prefix; since "scope prefixes e" implies e >= scope and the
   // prefixed elements are contiguous, a second binary search on the prefix
   // test finds it.
-  size_t first = LowerBound(scope);
-  size_t lo = first, hi = size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (scope.IsPrefixOf((*this)[mid])) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+  auto partition_point = [&](size_t lo, auto&& before) {
+    size_t hi = size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (before((*this)[mid])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
-  }
-  return {first, lo};
+    return lo;
+  };
+  const size_t first = partition_point(
+      0, [&](const PackedPbnRef& e) { return e.Compare(scope) < 0; });
+  return {first, partition_point(first, [&](const PackedPbnRef& e) {
+            return scope.IsPrefixOf(e);
+          })};
 }
 
 void PackedPbnList::Reserve(size_t nodes, size_t bytes_per_node) {
@@ -267,210 +212,6 @@ void PackedPbnList::Reserve(size_t nodes, size_t bytes_per_node) {
   lengths_.reserve(lengths_.size() + nodes);
   keys_.reserve(keys_.size() + nodes);
 }
-
-// ---------------------------------------------------------------------------
-// Batched compare kernels.
-//
-// One probe against a contiguous run of a packed list's columns. The key
-// column decides document order outright for unequal keys and decides the
-// strict-prefix test whenever the candidate's encoding fits in the key
-// (k <= 8 masked compare — the PackedPbnRef::PrefixBytesMatch fast path).
-// Equal-key lanes and long-prefix candidates are rare, so they resolve
-// scalar per lane. Three implementations share one contract; the fastest
-// the CPU supports is resolved once per process.
-
-namespace {
-
-struct ProbeCtx {
-  uint64_t key;
-  uint32_t size;
-  const char* data;
-};
-
-// Scalar resolution of the decisions the key column could not finish for
-// lane x: the long-prefix test and the equal-key order tie-break. Called
-// only when keys[x] == probe.key.
-inline void ResolveEqualLane(const uint32_t* offsets, const char* arena,
-                             size_t x, const ProbeCtx& p, BatchCounts* bc) {
-  const uint32_t as = offsets[x + 1] - offsets[x];
-  const uint32_t k = as - 1;
-  if (k > 8 && as < p.size &&
-      std::memcmp(arena + offsets[x] + 8, p.data + 8, k - 8) == 0) {
-    ++bc->prefix;
-  }
-  if (as > 8 && p.size > 8) {
-    uint32_t t = (as < p.size ? as : p.size) - 8;
-    int r = std::memcmp(arena + offsets[x] + 8, p.data + 8, t);
-    bc->less += r != 0 ? r < 0 : as < p.size;
-  }
-}
-
-void BatchScalar(const uint64_t* keys, const uint32_t* offsets,
-                 const char* arena, size_t lo, size_t n, const ProbeCtx& p,
-                 BatchCounts* bc) {
-  for (size_t j = 0; j < n; ++j) {
-    const size_t x = lo + j;
-    const uint64_t akey = keys[x];
-    if (akey != p.key) {
-      bc->less += akey < p.key;
-      const uint32_t as = offsets[x + 1] - offsets[x];
-      const uint32_t k = as - 1;
-      if (k <= 8) {
-        uint64_t mask = k == 8 ? ~0ull : ~(~0ull >> (8 * k));
-        bc->prefix += as < p.size && ((akey ^ p.key) & mask) == 0;
-      }
-      // k > 8 with unequal keys can never be a prefix (a prefix's first
-      // eight real bytes are the probe's).
-    } else {
-      const uint32_t as = offsets[x + 1] - offsets[x];
-      const uint32_t k = as - 1;
-      if (k <= 8) bc->prefix += as < p.size;
-      ResolveEqualLane(offsets, arena, x, p, bc);
-    }
-  }
-}
-
-#if defined(__x86_64__)
-
-__attribute__((target("avx2"))) void BatchAvx2(const uint64_t* keys,
-                                               const uint32_t* offsets,
-                                               const char* arena, size_t lo,
-                                               size_t n, const ProbeCtx& p,
-                                               BatchCounts* bc) {
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m256i pk_raw = _mm256_set1_epi64x(static_cast<long long>(p.key));
-  const __m256i pk_biased = _mm256_xor_si256(pk_raw, bias);
-  const __m256i psize = _mm256_set1_epi64x(static_cast<long long>(p.size));
-  const __m256i ones = _mm256_set1_epi64x(1);
-  const __m256i allf = _mm256_set1_epi64x(-1);
-  const __m256i seven = _mm256_set1_epi64x(7);
-  const __m256i nine = _mm256_set1_epi64x(9);
-  __m256i less_acc = _mm256_setzero_si256();
-  __m256i pref_acc = _mm256_setzero_si256();
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const size_t x = lo + j;
-    const __m256i k = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + x));
-    const __m256i kb = _mm256_xor_si256(k, bias);
-    less_acc = _mm256_sub_epi64(less_acc, _mm256_cmpgt_epi64(pk_biased, kb));
-    const __m128i off_lo = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(offsets + x));
-    const __m128i off_hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(offsets + x + 1));
-    const __m256i as = _mm256_cvtepu32_epi64(_mm_sub_epi32(off_hi, off_lo));
-    const __m256i kk = _mm256_sub_epi64(as, ones);
-    // mask = k >= 8 ? ~0 : ~(~0 >> 8k) — variable 64-bit shifts are AVX2.
-    const __m256i shr = _mm256_srlv_epi64(allf, _mm256_slli_epi64(kk, 3));
-    __m256i mask = _mm256_andnot_si256(shr, allf);
-    mask = _mm256_or_si256(mask, _mm256_cmpgt_epi64(kk, seven));
-    const __m256i pm = _mm256_cmpeq_epi64(
-        _mm256_and_si256(_mm256_xor_si256(k, pk_raw), mask),
-        _mm256_setzero_si256());
-    const __m256i szlt = _mm256_cmpgt_epi64(psize, as);
-    const __m256i kle8 = _mm256_cmpgt_epi64(nine, kk);
-    pref_acc = _mm256_sub_epi64(
-        pref_acc, _mm256_and_si256(_mm256_and_si256(pm, szlt), kle8));
-    const int eq = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(k, pk_raw)));
-    if (eq != 0) {
-      for (int b = 0; b < 4; ++b) {
-        if (eq & (1 << b)) ResolveEqualLane(offsets, arena, x + b, p, bc);
-      }
-    }
-  }
-  alignas(32) uint64_t tmp[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), less_acc);
-  bc->less += tmp[0] + tmp[1] + tmp[2] + tmp[3];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), pref_acc);
-  bc->prefix += tmp[0] + tmp[1] + tmp[2] + tmp[3];
-  if (j < n) BatchScalar(keys, offsets, arena, lo + j, n - j, p, bc);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) void
-BatchAvx512(const uint64_t* keys, const uint32_t* offsets, const char* arena,
-            size_t lo, size_t n, const ProbeCtx& p, BatchCounts* bc) {
-  const __m512i pk = _mm512_set1_epi64(static_cast<long long>(p.key));
-  const __m512i psize = _mm512_set1_epi64(static_cast<long long>(p.size));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i seven = _mm512_set1_epi64(7);
-  const __m512i eight = _mm512_set1_epi64(8);
-  const __m512i allf = _mm512_set1_epi64(-1);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const size_t x = lo + j;
-    const __m512i k = _mm512_loadu_si512(
-        reinterpret_cast<const void*>(keys + x));
-    bc->less += static_cast<unsigned>(
-        _mm_popcnt_u32(_mm512_cmplt_epu64_mask(k, pk)));
-    const __m256i off_lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(offsets + x));
-    const __m256i off_hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(offsets + x + 1));
-    const __m512i as =
-        _mm512_cvtepu32_epi64(_mm256_sub_epi32(off_hi, off_lo));
-    const __m512i kk = _mm512_sub_epi64(as, one);
-    __m512i mask = _mm512_andnot_si512(
-        _mm512_srlv_epi64(allf, _mm512_slli_epi64(kk, 3)), allf);
-    mask = _mm512_mask_mov_epi64(mask, _mm512_cmpgt_epi64_mask(kk, seven),
-                                 allf);
-    const __mmask8 pm =
-        _mm512_testn_epi64_mask(_mm512_xor_si512(k, pk), mask);
-    const __mmask8 szlt = _mm512_cmplt_epi64_mask(as, psize);
-    const __mmask8 kle8 =
-        static_cast<__mmask8>(~_mm512_cmpgt_epi64_mask(kk, eight));
-    bc->prefix += static_cast<unsigned>(_mm_popcnt_u32(pm & szlt & kle8));
-    const __mmask8 eq = _mm512_cmpeq_epi64_mask(k, pk);
-    if (eq != 0) {
-      for (int b = 0; b < 8; ++b) {
-        if (eq & (1 << b)) ResolveEqualLane(offsets, arena, x + b, p, bc);
-      }
-    }
-  }
-  if (j < n) BatchScalar(keys, offsets, arena, lo + j, n - j, p, bc);
-}
-
-#endif  // defined(__x86_64__)
-
-using BatchFn = void (*)(const uint64_t*, const uint32_t*, const char*,
-                         size_t, size_t, const ProbeCtx&, BatchCounts*);
-
-struct BatchKernel {
-  BatchFn fn;
-  const char* isa;
-};
-
-BatchKernel ResolveBatchKernel() {
-#if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return {BatchAvx512, "avx512"};
-  }
-  if (__builtin_cpu_supports("avx2")) return {BatchAvx2, "avx2"};
-#endif
-  return {BatchScalar, "scalar"};
-}
-
-const BatchKernel& GetBatchKernel() {
-  static const BatchKernel kernel = ResolveBatchKernel();
-  return kernel;
-}
-
-}  // namespace
-
-BatchCounts CompareKeysBatch(const uint64_t* keys, const uint32_t* offsets,
-                             const char* arena, size_t lo, size_t n,
-                             const PackedPbnRef& probe) {
-  BatchCounts bc;
-  const ProbeCtx p{probe.key(), probe.size_bytes(), probe.data()};
-  GetBatchKernel().fn(keys, offsets, arena, lo, n, p, &bc);
-  return bc;
-}
-
-const char* BatchKernelIsa() { return GetBatchKernel().isa; }
 
 // ---------------------------------------------------------------------------
 // Blocked on-disk codec: front-coded entries in kPbnBlockEntries-entry
@@ -621,8 +362,7 @@ Status DecodeBlockScalar(std::string_view payload, size_t entries,
 // batched form splits them into block-wide passes — parse every header into
 // stack arrays, size the arena once and assemble with straight memcpys,
 // validate framing, then check document order over the key column with a
-// SIMD kernel that touches the arena only on equal-key pairs (the same
-// key-column-first shape as CompareKeysBatch).
+// SIMD kernel that touches the arena only on equal-key pairs.
 
 namespace {
 
@@ -711,6 +451,8 @@ const DecodeKernel& GetDecodeKernel() {
 }  // namespace
 
 const char* DecodeKernelIsa() { return GetDecodeKernel().isa; }
+
+const char* BatchKernelIsa() { return DecodeKernelIsa(); }
 
 Status DecodeBlock(std::string_view payload, size_t entries,
                    PackedPbnList* out) {

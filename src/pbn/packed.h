@@ -258,10 +258,6 @@ class PackedPbnList {
   /// Encode and append \p pbn.
   void Append(const Pbn& pbn);
 
-  /// Append a copy of an already-encoded number (possibly from another
-  /// arena).
-  void Append(const PackedPbnRef& ref);
-
   /// Materialize element \p i as a heap Pbn.
   Pbn Materialize(size_t i) const { return (*this)[i].Materialize(); }
 
@@ -281,19 +277,9 @@ class PackedPbnList {
   /// binary-search paths rely on.
   static Result<PackedPbnList> FromArena(std::string arena, size_t count);
 
-  /// Sort into document order and drop duplicates (rebuilds the arena).
-  void SortUnique();
-
-  /// Merge two document-ordered lists, dropping duplicates.
-  static PackedPbnList MergeUnique(const PackedPbnList& a,
-                                   const PackedPbnList& b);
-
-  /// First index whose element compares >= \p key (binary search; the list
-  /// must be sorted in document order).
-  size_t LowerBound(const PackedPbnRef& key) const;
-
   /// Index range [first, last) of elements that \p scope is a prefix of
-  /// (descendants-or-self of scope), by memcmp binary search on both ends.
+  /// (descendants-or-self of scope), by memcmp binary search on both ends
+  /// (the list must be sorted in document order).
   std::pair<size_t, size_t> PrefixRange(const PackedPbnRef& scope) const;
 
   /// Reserve room for \p nodes elements of ~\p bytes_per_node encoded
@@ -323,8 +309,7 @@ class PackedPbnList {
 
  private:
   /// DecodeBlock front-codes against bytes already in arena_, so it appends
-  /// through the members directly (Append(ref) cannot alias its own arena
-  /// across a reallocation).
+  /// through the members directly.
   friend Status DecodeBlock(std::string_view payload, size_t entries,
                             PackedPbnList* out);
   friend Status DecodeBlockScalar(std::string_view payload, size_t entries,
@@ -336,16 +321,7 @@ class PackedPbnList {
   std::vector<uint64_t> keys_;     // PackedPbnRef::ComputeKey per element
 };
 
-/// \name Batched compare/decode kernels and the blocked arena codec.
-///
-/// The packed lists are consumed in *runs*: a structural-join advance walks
-/// a contiguous span of ancestors, a merge scans a group of equal-prefix
-/// rows, the E10 decision kernel probes a window. Over a run the 8-byte
-/// sort-key column decides almost every element, so the kernels below work
-/// key-column-first: SIMD (AVX2/AVX-512, resolved once at runtime, scalar
-/// fallback) over the uncompressed keys, with the arena touched only on
-/// equal-key lanes — the scalar tie-break path, which XMark-style data hits
-/// on well under 1% of decisions.
+/// \name Block skipping and the blocked arena codec.
 ///
 /// Sorted lists carry their per-block min/max sort keys implicitly: with a
 /// fixed block size of kPbnBlockEntries, block b's minimum is keys[b*B] and
@@ -353,7 +329,9 @@ class PackedPbnList {
 /// structure and never goes stale on append. The on-disk blocked codec
 /// (EncodeBlocked) stores the same min/max explicitly per block and
 /// front-codes the arena bytes; DecodeBlock amortizes the ordered-codec
-/// decode over a whole block.
+/// decode over a whole block, checking document order over the key column
+/// with a SIMD kernel (AVX2/AVX-512, resolved once at runtime, scalar
+/// fallback) that touches the arena only on equal-key pairs.
 /// @{
 
 /// Entries per block, shared by the in-memory skip stride and the on-disk
@@ -361,25 +339,8 @@ class PackedPbnList {
 /// roughly 2-4 KiB of arena per block.
 inline constexpr size_t kPbnBlockEntries = 256;
 
-/// \brief Result of CompareKeysBatch: how many run elements compare less
-/// than the probe in document order, and how many are strict prefixes
-/// (ancestors) of it.
-struct BatchCounts {
-  uint64_t less = 0;
-  uint64_t prefix = 0;
-};
-
-/// \brief Batched decision kernel over the run [lo, lo+n) of a packed
-/// list's columns: counts document-order-less and strict-prefix outcomes
-/// against \p probe. Exactly the decisions PackedPbnRef::Compare and
-/// IsStrictPrefixOf make, property-tested byte-identical; SIMD over the key
-/// column with scalar tie-break only on equal keys.
-BatchCounts CompareKeysBatch(const uint64_t* keys, const uint32_t* offsets,
-                             const char* arena, size_t lo, size_t n,
-                             const PackedPbnRef& probe);
-
-/// \brief The instruction set the batched kernels resolved to at startup:
-/// "avx512", "avx2" or "scalar".
+/// \brief The instruction set the SIMD kernels resolved to at startup:
+/// "avx512", "avx2" or "scalar" (the same CPU test as DecodeKernelIsa).
 const char* BatchKernelIsa();
 
 /// \brief Smallest sort key any strict prefix (ancestor) of \p probe can
@@ -392,23 +353,6 @@ inline uint64_t MinStrictPrefixKeyBound(const PackedPbnRef& probe) {
   uint32_t pb = 1u + static_cast<uint8_t>(probe.data()[0]);
   if (pb >= 8) return probe.key();
   return probe.key() & ~(~0ull >> (8 * pb));
-}
-
-/// \brief Advance \p i over whole kPbnBlockEntries-blocks of the sorted key
-/// column whose maximum key (the block's last key) is below \p bound.
-/// Returns the first index not skipped; *skips (when non-null) counts the
-/// blocks jumped. Only block-tail keys are read — skipped blocks cost one
-/// key load each.
-inline size_t SkipBlocksBelow(const uint64_t* keys, size_t i, size_t hi,
-                              uint64_t bound, uint64_t* skips) {
-  uint64_t n = 0;
-  while (hi - i >= kPbnBlockEntries &&
-         keys[i + kPbnBlockEntries - 1] < bound) {
-    i += kPbnBlockEntries;
-    ++n;
-  }
-  if (skips != nullptr) *skips += n;
-  return i;
 }
 
 /// \brief Encode \p list (which must be sorted in document order) into the

@@ -45,14 +45,15 @@ std::vector<JoinPair> StackTreeJoin(const std::vector<Pbn>& ancestors,
   return out;
 }
 
-/// Packed mirror of StackTreeJoin: the merge state is byte-level. Every
+/// Packed mirror of StackTreeJoin over two row selections: the merge state
+/// is byte-level, read in place at each side's selected rows. Every
 /// IsStrictPrefixOf/order decision is a sort-key compare (arena memcmp only
 /// past equal keys); with kCounted the counters tally decisions and the
 /// bytes they touched. Counting is a template parameter so the uncounted
 /// join carries zero bookkeeping in its inner loop.
 template <bool kParentOnly, bool kCounted>
-std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
-                                          const PackedPbnList& descendants,
+std::vector<JoinPair> PackedStackTreeJoin(const PackedRows& ancestors,
+                                          const PackedRows& descendants,
                                           JoinCounters* counters) {
   std::vector<JoinPair> out;
   std::vector<size_t> stack;
@@ -60,27 +61,39 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
   uint64_t comparisons = 0;
   uint64_t bytes = 0;
   uint64_t block_skips = 0;
-  const size_t a_size = ancestors.size();
-  const char* a_arena = ancestors.arena_data();
-  const uint32_t* a_off = ancestors.offsets_data();
-  const uint32_t* a_len = ancestors.lengths_data();
-  const uint64_t* a_key = ancestors.keys_data();
-  const char* d_arena = descendants.arena_data();
-  const uint32_t* d_off = descendants.offsets_data();
-  const uint32_t* d_len = descendants.lengths_data();
-  const uint64_t* d_key = descendants.keys_data();
-  const size_t d_end = descendants.size();
+  const size_t a_size = ancestors.size;
+  const uint32_t* a_rows = ancestors.rows;
+  const char* a_arena = ancestors.list->arena_data();
+  const uint32_t* a_off = ancestors.list->offsets_data();
+  const uint32_t* a_len = ancestors.list->lengths_data();
+  const uint64_t* a_key = ancestors.list->keys_data();
+  const size_t d_end = descendants.size;
+  const uint32_t* d_rows = descendants.rows;
+  const char* d_arena = descendants.list->arena_data();
+  const uint32_t* d_off = descendants.list->offsets_data();
+  const uint32_t* d_len = descendants.list->lengths_data();
+  const uint64_t* d_key = descendants.list->keys_data();
+  // Position -> row of each side (identity when the side reads every row).
+  auto arow = [a_rows](size_t i) { return a_rows ? a_rows[i] : i; };
+  auto drow = [d_rows](size_t i) { return d_rows ? d_rows[i] : i; };
+  auto aref = [&](size_t i) {
+    const size_t r = arow(i);
+    return PackedPbnRef(a_arena + a_off[r], a_off[r + 1] - a_off[r], a_len[r],
+                        a_key[r]);
+  };
+  auto dref = [&](size_t i) {
+    const size_t r = drow(i);
+    return PackedPbnRef(d_arena + d_off[r], d_off[r + 1] - d_off[r], d_len[r],
+                        d_key[r]);
+  };
   for (size_t d = 0; d < d_end; ++d) {
-    PackedPbnRef dn(d_arena + d_off[d], d_off[d + 1] - d_off[d], d_len[d],
-                    d_key[d]);
+    PackedPbnRef dn = dref(d);
     // Pop the chain entries whose subtrees ended before dn. A popped
     // entry's subtree is a contiguous document-order interval ending
     // before dn, so it would be popped for every later descendant too —
     // which is what lets the block skip below run on the drained stack.
     while (!stack.empty()) {
-      const size_t s = stack.back();
-      const PackedPbnRef top(a_arena + a_off[s], a_off[s + 1] - a_off[s],
-                             a_len[s], a_key[s]);
+      const PackedPbnRef top = aref(stack.back());
       if constexpr (kCounted) {
         ++comparisons;
         bytes += top.size_bytes();
@@ -95,30 +108,32 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
       // A whole descendant block strictly below the next ancestor key emits
       // nothing: every dn in it has an.key > dn.key, so the advance loop
       // breaks immediately with the stack still empty.
-      size_t d0 = d;
+      const size_t d0 = d;
+      const uint64_t next_key = a_key[arow(a)];
       while (d_end - d >= kPbnBlockEntries &&
-             a_key[a] > d_key[d + kPbnBlockEntries - 1]) {
+             next_key > d_key[drow(d + kPbnBlockEntries - 1)]) {
         d += kPbnBlockEntries;
         ++block_skips;
       }
       if (d >= d_end) break;
-      if (d != d0) {
-        dn = PackedPbnRef(d_arena + d_off[d], d_off[d + 1] - d_off[d],
-                          d_len[d], d_key[d]);
-      }
+      if (d != d0) dn = dref(d);
     }
     if (a < a_size) {
       // Ancestors with sort keys below this bound can be neither prefixes
       // of dn nor >= dn, so the advance loop would step over every one of
       // them without touching the stack. Stride whole blocks off the key
-      // column, then finish the sub-block run without decoding arena bytes.
+      // column (a block's last key is its maximum), then finish the
+      // sub-block run without decoding arena bytes.
       const uint64_t bound = MinStrictPrefixKeyBound(dn);
-      a = SkipBlocksBelow(a_key, a, a_size, bound, &block_skips);
-      while (a < a_size && a_key[a] < bound) ++a;
+      while (a_size - a >= kPbnBlockEntries &&
+             a_key[arow(a + kPbnBlockEntries - 1)] < bound) {
+        a += kPbnBlockEntries;
+        ++block_skips;
+      }
+      while (a < a_size && a_key[arow(a)] < bound) ++a;
     }
     while (a < a_size) {
-      const PackedPbnRef an(a_arena + a_off[a], a_off[a + 1] - a_off[a],
-                            a_len[a], a_key[a]);
+      const PackedPbnRef an = aref(a);
       if constexpr (kCounted) {
         ++comparisons;
         bytes += std::min(an.size_bytes(), dn.size_bytes());
@@ -129,8 +144,8 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
     }
     if constexpr (kParentOnly) {
       if (!stack.empty()) {
-        size_t top = stack.back();
-        if (ancestors[top].length() + 1 == dn.length()) {
+        const size_t top = stack.back();
+        if (a_len[arow(top)] + 1 == dn.length()) {
           out.push_back(JoinPair{top, d});
         }
       }
@@ -147,8 +162,8 @@ std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
 }
 
 template <bool kParentOnly>
-std::vector<JoinPair> PackedJoin(const PackedPbnList& ancestors,
-                                 const PackedPbnList& descendants,
+std::vector<JoinPair> PackedJoin(const PackedRows& ancestors,
+                                 const PackedRows& descendants,
                                  JoinCounters* counters) {
   return counters != nullptr
              ? PackedStackTreeJoin<kParentOnly, true>(ancestors, descendants,
@@ -169,14 +184,14 @@ std::vector<JoinPair> ParentChildJoin(const std::vector<Pbn>& parents,
   return StackTreeJoin<true>(parents, children);
 }
 
-std::vector<JoinPair> AncestorDescendantJoin(const PackedPbnList& ancestors,
-                                             const PackedPbnList& descendants,
+std::vector<JoinPair> AncestorDescendantJoin(const PackedRows& ancestors,
+                                             const PackedRows& descendants,
                                              JoinCounters* counters) {
   return PackedJoin<false>(ancestors, descendants, counters);
 }
 
-std::vector<JoinPair> ParentChildJoin(const PackedPbnList& parents,
-                                      const PackedPbnList& children,
+std::vector<JoinPair> ParentChildJoin(const PackedRows& parents,
+                                      const PackedRows& children,
                                       JoinCounters* counters) {
   return PackedJoin<true>(parents, children, counters);
 }

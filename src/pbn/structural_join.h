@@ -51,21 +51,39 @@ struct JoinCounters {
   uint64_t block_skips = 0;     ///< kPbnBlockEntries blocks skipped wholesale
 };
 
+/// \brief One side of a packed join: a document-ordered PackedPbnList read
+/// at the ascending rows `rows[0..size)`, or at every row when `rows` is
+/// null. A selection is joined in place over the list's arena, never
+/// copied out. Converts implicitly from a whole list.
+struct PackedRows {
+  PackedRows(const PackedPbnList& l)  // NOLINT: every row
+      : list(&l), size(l.size()) {}
+  PackedRows(const PackedPbnList& l, const uint32_t* r, size_t n)
+      : list(&l), rows(r), size(n) {}
+
+  const PackedPbnList* list;
+  const uint32_t* rows = nullptr;
+  size_t size;
+};
+
 /// \name Packed structural joins
 ///
 /// Same contract and byte-identical JoinPair output as the vector variants,
-/// but streaming over the contiguous arenas of PackedPbnList: every axis
-/// decision is a memcmp over encoded bytes, and whole kPbnBlockEntries
-/// blocks whose sort keys prove no element can match or stop the merge are
-/// skipped (JoinCounters::block_skips). \p counters is explicit (no
-/// default) so brace-initialized vector calls never overload-clash with
-/// the vector variants; pass nullptr to count nothing.
+/// with JoinPair indexes counting positions within each side (rows, when
+/// the side reads every row), but streaming over the contiguous arenas of
+/// PackedPbnList: every axis decision is a memcmp over encoded bytes, and
+/// whole kPbnBlockEntries blocks of either side whose sort keys prove no
+/// element can match or stop the merge are skipped
+/// (JoinCounters::block_skips), so a selective side does not walk the
+/// other side's whole arena. \p counters is explicit (no default) so
+/// brace-initialized vector calls never overload-clash with the vector
+/// variants; pass nullptr to count nothing.
 /// @{
-std::vector<JoinPair> AncestorDescendantJoin(const PackedPbnList& ancestors,
-                                             const PackedPbnList& descendants,
+std::vector<JoinPair> AncestorDescendantJoin(const PackedRows& ancestors,
+                                             const PackedRows& descendants,
                                              JoinCounters* counters);
-std::vector<JoinPair> ParentChildJoin(const PackedPbnList& parents,
-                                      const PackedPbnList& children,
+std::vector<JoinPair> ParentChildJoin(const PackedRows& parents,
+                                      const PackedRows& children,
                                       JoinCounters* counters);
 /// @}
 

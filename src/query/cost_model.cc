@@ -60,7 +60,6 @@ PredPlan CostModel::ChoosePredStrategy(
   const double ctx_count = std::max(1.0, card_.TypeCount(context_type));
 
   double witness = w_.setup;
-  double rows_probe = w_.setup;
   double scan_probe = w_.setup;
   double total_rows = 0;
 
@@ -72,36 +71,30 @@ PredPlan CostModel::ChoosePredStrategy(
     const double sel = std::clamp(m / n_tt, 0.0, 1.0);
     total_rows += m;
 
-    // Materializing the matching-rows list (CollectMatchingRows), charged
-    // to both strategies that consume it. Memoized per predicate, so this
-    // is a once-per-query cost, not per context group — but the strategies
-    // compete within one group, so charging it keeps the comparison fair
-    // for the common single-group case.
-    double mat;
+    // Collecting the matching-rows list (CollectMatchingRows). Memoized
+    // per predicate, so this is a once-per-query cost, not per context
+    // group — but the strategies compete within one group, so charging it
+    // keeps the comparison fair for the common single-group case.
     switch (op) {
       case CompareOp::kEq:
-        mat = 2 * w_.probe * Log2(static_cast<size_t>(n_tt)) + m * w_.row;
+        witness +=
+            2 * w_.probe * Log2(static_cast<size_t>(n_tt)) + m * w_.row;
         break;
       case CompareOp::kNe:
-        mat = n_tt * w_.row;  // full term-column scan
+        witness += n_tt * w_.row;  // full term-column scan
         break;
       default:
         // Slice assign plus the explicit row-order sort.
-        mat = 2 * w_.probe * Log2(static_cast<size_t>(n_tt)) + m * w_.row +
-              m * Log2(static_cast<size_t>(m)) * w_.row;
+        witness += 2 * w_.probe * Log2(static_cast<size_t>(n_tt)) +
+                   m * w_.row + m * Log2(static_cast<size_t>(m)) * w_.row;
         break;
     }
-    witness += mat + m * w_.materialize;  // packed witness appends
-    rows_probe += mat;
 
-    // Per-context costs. Both probe strategies pay TypeRangeWithin (two
-    // binary searches over the packed type list) per context instance.
+    // Scan probe: per context instance, TypeRangeWithin (two binary
+    // searches over the packed type list), then term tests over the
+    // context's row range, skipping blocks the zone maps rule out,
+    // stopping at the first hit.
     const double range_cost = 2 * w_.probe * Log2(static_cast<size_t>(n_tt));
-    rows_probe +=
-        n_ctx * (range_cost + w_.probe * Log2(static_cast<size_t>(m)));
-
-    // Scan probe: term tests over the context's row range, skipping blocks
-    // the zone maps rule out, stopping at the first hit.
     const double avg_range = n_tt / ctx_count;
     const double zsf =
         col != nullptr ? ZoneSurvivorFraction(*col, op, lit) : 1.0;
@@ -113,21 +106,13 @@ PredPlan CostModel::ChoosePredStrategy(
                            expected_scan * w_.row);
   }
 
-  // Witness-global costs: SortUnique over all witnesses, then the
-  // semi-join merge against the context list.
-  witness += total_rows * Log2(static_cast<size_t>(total_rows)) * w_.row +
-             (n_ctx + total_rows) * w_.row;
+  // The witness side's semi-join: one merge of the context rows with the
+  // matching rows, which arrive in row order.
+  witness += (n_ctx + total_rows) * w_.row;
 
   plan.est_rows = total_rows;
-  plan.strategy = PredStrategy::kWitness;
-  double best = witness;
-  if (rows_probe < best) {
-    best = rows_probe;
-    plan.strategy = PredStrategy::kRowsProbe;
-  }
-  if (scan_probe < best) {
-    plan.strategy = PredStrategy::kScanProbe;
-  }
+  plan.strategy =
+      scan_probe < witness ? PredStrategy::kScanProbe : PredStrategy::kWitness;
   return plan;
 }
 

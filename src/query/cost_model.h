@@ -8,13 +8,12 @@
 /// fragment (query/eval_bulk.h) and the per-node indexed evaluator
 /// otherwise, with no costing.
 ///
-///   * **Value-predicate strategy** (eval_bulk ApplyValuePred): collect all
-///     matching rows as witnesses and semi-join (wins at low selectivity —
-///     few witnesses), probe each context's subtree range against the
-///     sorted matching-rows list (wins for small contexts), or scan each
-///     context's term-column range with zone-map block skipping, never
-///     materializing rows at all (wins at high selectivity, where the
-///     witness sort alone costs more than the whole scan).
+///   * **Value-predicate strategy** (eval_bulk ValueMask), one of two:
+///     collect the matching rows and semi-join them to the context rows
+///     (the default; one merge), or scan each context's term-column range
+///     with zone-map block skipping, stopping at the first hit and never
+///     collecting rows at all (wins when few contexts each own a long,
+///     mostly skippable range of a selective column).
 ///   * **Merge vs walk** (eval_virtual BatchAxis): a costed comparison of
 ///     the vtype merge join against per-node range walks.
 ///   * **Witness-first vs per-node on a view** (eval_virtual
@@ -40,16 +39,14 @@ namespace vpbn::query {
 struct CostWeights {
   double row = 1.0;          ///< stream one row through a scan or merge
   double probe = 8.0;        ///< one binary-search descent level
-  double materialize = 6.0;  ///< append one packed witness / heap Pbn
+  double materialize = 6.0;  ///< decode one witness or context number
   double setup = 64.0;       ///< fixed per-structure overhead
 };
 
 /// \brief How a recognized [path op literal] predicate should be answered
-/// for one (context type, context list). See PredStrategy choice docs in
-/// the file header.
+/// for one (context type, context rows). See the file header.
 enum class PredStrategy : uint8_t {
-  kWitness,    ///< matching rows -> packed witnesses -> semi-join (default)
-  kRowsProbe,  ///< matching rows + per-context binary probe into them
+  kWitness,    ///< matching rows semi-joined to the context rows (default)
   kScanProbe,  ///< per-context zone-skipped term-column range scan
 };
 
@@ -76,9 +73,9 @@ class CostModel {
                      CostWeights weights = {})
       : stored_(&stored), card_(stored), w_(weights) {}
 
-  /// Strategy choice for one [path op literal] predicate against a context
-  /// list of \p n_context instances of \p context_type, with resolved
-  /// terminal types \p terminal_types.
+  /// Strategy choice for one [path op literal] predicate against
+  /// \p n_context rows of \p context_type, with resolved terminal types
+  /// \p terminal_types.
   PredPlan ChoosePredStrategy(dg::TypeId context_type, size_t n_context,
                               const std::vector<dg::TypeId>& terminal_types,
                               CompareOp op, const ValueLiteral& lit) const;

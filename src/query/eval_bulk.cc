@@ -1,7 +1,7 @@
 #include "query/eval_bulk.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <map>
 
 #include "pbn/packed.h"
@@ -17,23 +17,114 @@ namespace {
 using num::PackedPbnList;
 using xml::NodeId;
 
-/// Surviving instances per type. The lists stay packed (one arena per
-/// type-list, pbn/codec.h ordered encoding) end to end: joins, semi-joins
-/// and merges all run over arena bytes, and only the final result maps
-/// rows to NodeIds.
-using State = std::map<dg::TypeId, PackedPbnList>;
+/// The surviving instances of one type: ascending rows of its packed arena
+/// (StoredDocument::PackedNodesOfType), or every row. Joins read the arena
+/// at these rows in place, predicates mask them, and the result reads the
+/// NodeIds aligned with them; no packed number is ever copied.
+class Rows {
+ public:
+  static Rows All(size_t n) {
+    Rows r;
+    r.all_ = true;
+    r.n_ = n;
+    return r;
+  }
+  static Rows Of(std::vector<uint32_t> rows) {
+    Rows r;
+    r.n_ = rows.size();
+    r.rows_ = std::move(rows);
+    return r;
+  }
+
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  uint32_t row(size_t i) const {
+    return all_ ? static_cast<uint32_t>(i) : rows_[i];
+  }
+
+  /// This selection as one side of a packed join over \p list.
+  num::PackedRows Over(const PackedPbnList& list) const {
+    return all_ ? num::PackedRows(list)
+                : num::PackedRows(list, rows_.data(), rows_.size());
+  }
+
+  /// The entries whose \p mask byte equals \p want.
+  Rows Keep(const std::vector<char>& mask, bool want = true) const {
+    if (all_ && std::all_of(mask.begin(), mask.end(),
+                            [&](char m) { return (m != 0) == want; })) {
+      return *this;
+    }
+    std::vector<uint32_t> kept;
+    for (size_t i = 0; i < n_; ++i) {
+      if ((mask[i] != 0) == want) kept.push_back(row(i));
+    }
+    return Of(std::move(kept));
+  }
+
+  /// Adds \p other's rows (both ascending).
+  void Unite(Rows other) {
+    if (all_ || other.empty()) return;
+    if (other.all_ || empty()) {
+      *this = std::move(other);
+      return;
+    }
+    std::vector<uint32_t> merged;
+    merged.reserve(n_ + other.n_);
+    std::set_union(rows_.begin(), rows_.end(), other.rows_.begin(),
+                   other.rows_.end(), std::back_inserter(merged));
+    *this = Of(std::move(merged));
+  }
+
+ private:
+  bool all_ = false;
+  size_t n_ = 0;
+  std::vector<uint32_t> rows_;
+};
+
+/// Surviving rows per type, and whether the invisible document node is
+/// still in the context (it is after a leading '//').
+struct State {
+  bool doc = false;
+  std::map<dg::TypeId, Rows> types;
+};
+
+/// One predicate's truth value per entry of a type's selection.
+using Mask = std::vector<char>;
 
 bool TypeMatches(const dg::DataGuide& g, dg::TypeId t, const NodeTest& test) {
   return test.Matches(!g.IsTextType(t), g.label(t));
 }
 
-/// Fragment test: child/descendant chains, name-ish tests, predicates that
-/// are existence chains of the same shape or recognized value predicates
-/// ([path op literal], [@attr op literal], contains()/starts-with() — see
-/// query/value_pushdown.h).
-bool InFragment(const Path& path) {
-  for (size_t i = 0; i < path.steps.size(); ++i) {
-    const Step& step = path.steps[i];
+bool InFragment(const Path& path, bool top_level);
+
+/// Predicates bulk evaluates as masks: existence paths in the fragment,
+/// recognized value predicates (query/value_pushdown.h), @attr, and
+/// and/or/not over those.
+bool PredInFragment(const Expr& e) {
+  switch (e.kind) {
+    case Expr::Kind::kPath:
+      return InFragment(e.path, /*top_level=*/false);
+    case Expr::Kind::kAttribute:
+      return true;
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+      return PredInFragment(*e.lhs) && PredInFragment(*e.rhs);
+    case Expr::Kind::kNot:
+      return PredInFragment(*e.lhs);
+    default: {
+      ValuePred vp;
+      return RecognizeValuePred(e, &vp);
+    }
+  }
+}
+
+/// Fragment test: child, descendant and '//' steps, plus parent, ancestor
+/// and ancestor-or-self steps on the top-level path; predicates per
+/// PredInFragment. Predicate paths stay downward, so each terminal
+/// instance lies under exactly one instance of the context type, which is
+/// what lets a semi-join mark the context rows a predicate holds for.
+bool InFragment(const Path& path, bool top_level) {
+  for (const Step& step : path.steps) {
     switch (step.axis) {
       case num::Axis::kChild:
       case num::Axis::kDescendant:
@@ -45,31 +136,30 @@ bool InFragment(const Path& path) {
           return false;
         }
         break;
+      case num::Axis::kParent:
+      case num::Axis::kAncestor:
+      case num::Axis::kAncestorOrSelf:
+        if (!top_level) return false;
+        break;
       default:
         return false;
     }
     for (const auto& pred : step.predicates) {
-      if (pred->kind == Expr::Kind::kPath) {
-        if (!InFragment(pred->path)) return false;
-        continue;
-      }
-      ValuePred vp;
-      if (!RecognizeValuePred(*pred, &vp)) return false;
+      if (!PredInFragment(*pred)) return false;
     }
   }
   return !path.steps.empty();
 }
 
-/// Runs the packed structural join for one step edge and flushes its work
-/// counters into the context.
-std::vector<num::JoinPair> Join(num::Axis axis, const PackedPbnList& ancestors,
-                                const PackedPbnList& descendants,
+/// Runs the packed structural join for one type pair and flushes its work
+/// counters into the context. Pair indexes are positions in each side.
+std::vector<num::JoinPair> Join(bool parent_only, const num::PackedRows& up,
+                                const num::PackedRows& down,
                                 ExecContext* ctx) {
   num::JoinCounters jc;
   std::vector<num::JoinPair> pairs =
-      axis == num::Axis::kChild
-          ? num::ParentChildJoin(ancestors, descendants, &jc)
-          : num::AncestorDescendantJoin(ancestors, descendants, &jc);
+      parent_only ? num::ParentChildJoin(up, down, &jc)
+                  : num::AncestorDescendantJoin(up, down, &jc);
   if (ctx) {
     ctx->stats().join_pairs += pairs.size();
     ctx->stats().pbn_comparisons += jc.comparisons;
@@ -79,52 +169,85 @@ std::vector<num::JoinPair> Join(num::Axis axis, const PackedPbnList& ancestors,
   return pairs;
 }
 
-/// Retains the context instances that have at least one descendant in
-/// `witnesses` (all witness types are descendants of the context type, so
-/// the ancestor side of the join identifies survivors).
-PackedPbnList SemiJoinAncestors(const PackedPbnList& context,
-                                const PackedPbnList& witnesses,
-                                ExecContext* ctx) {
-  std::vector<num::JoinPair> pairs =
-      Join(num::Axis::kDescendant, context, witnesses, ctx);
-  std::vector<bool> keep(context.size(), false);
-  for (const num::JoinPair& p : pairs) keep[p.ancestor_index] = true;
-  PackedPbnList out;
-  for (size_t i = 0; i < context.size(); ++i) {
-    if (keep[i]) out.Append(context[i]);
+/// The rows of type \p to (a DataGuide child type of \p t with
+/// \p child, else a descendant type) under the context rows \p sel of
+/// \p t. Every instance of \p to lies under some instance of \p t, so a
+/// full context selects every row without a join.
+Rows Below(const storage::StoredDocument& stored, dg::TypeId t,
+           const Rows& sel, dg::TypeId to, bool child, ExecContext* ctx) {
+  const PackedPbnList& all = stored.PackedNodesOfType(to);
+  if (sel.size() == stored.PackedNodesOfType(t).size()) {
+    return Rows::All(all.size());
   }
-  return out;
+  std::vector<num::JoinPair> pairs =
+      Join(child, sel.Over(stored.PackedNodesOfType(t)), all, ctx);
+  std::vector<uint32_t> rows;
+  rows.reserve(pairs.size());
+  for (const num::JoinPair& p : pairs) {
+    rows.push_back(static_cast<uint32_t>(p.descendant_index));
+  }
+  return Rows::Of(std::move(rows));
 }
 
-/// Evaluates `path` starting from `state` (document node when
-/// `from_document` is set), returning the surviving per-type lists.
+/// The rows of type \p up (an ancestor type of \p t; its parent type with
+/// \p parent) above the context rows \p sel of \p t: the same join with
+/// the roles swapped. Instances of one type never nest, so each context
+/// row has at most one ancestor of type \p up, and those ancestors come
+/// out in document order as the context rows do; repeats are adjacent.
+Rows Above(const storage::StoredDocument& stored, dg::TypeId t,
+           const Rows& sel, dg::TypeId up, bool parent, ExecContext* ctx) {
+  std::vector<num::JoinPair> pairs =
+      Join(parent, stored.PackedNodesOfType(up),
+           sel.Over(stored.PackedNodesOfType(t)), ctx);
+  std::vector<uint32_t> rows;
+  for (const num::JoinPair& p : pairs) {
+    if (rows.empty() || rows.back() != p.ancestor_index) {
+      rows.push_back(static_cast<uint32_t>(p.ancestor_index));
+    }
+  }
+  return Rows::Of(std::move(rows));
+}
+
+/// Sets \p mask for the context rows \p sel of \p t that have a descendant
+/// among \p below (rows of one descendant type).
+void MarkAncestors(const storage::StoredDocument& stored, dg::TypeId t,
+                   const Rows& sel, const num::PackedRows& below, Mask* mask,
+                   ExecContext* ctx) {
+  if (below.size == 0) return;
+  for (const num::JoinPair& p :
+       Join(/*parent_only=*/false, sel.Over(stored.PackedNodesOfType(t)),
+            below, ctx)) {
+    (*mask)[p.ancestor_index] = 1;
+  }
+}
+
+/// Evaluates \p path from \p state, returning the surviving rows per type.
 State EvalChain(const storage::StoredDocument& stored, const Path& path,
-                size_t first_step, State state, bool from_document,
-                ExecContext* ctx);
+                State state, ExecContext* ctx);
 
 /// kScanProbe: answers a [path op literal] predicate per context instance by
 /// scanning its terminal-row range in the term column directly — no
-/// matching-rows materialization, no witness sort. Whole 256-row blocks the
-/// zone maps rule out are skipped, and the scan stops at the first hit.
-/// Chosen by the cost model at high selectivity, where the witness path's
-/// global sort alone costs more than these early-exiting scans.
-PackedPbnList PredScanProbe(const storage::StoredDocument& stored,
-                            const ValuePred& vp,
-                            const std::vector<dg::TypeId>& tts,
-                            const PackedPbnList& list, ExecContext* ctx) {
+/// matching-rows materialization. Whole 256-row blocks the zone maps rule
+/// out are skipped, and the scan stops at the first hit. Chosen by the
+/// cost model at high selectivity, where collecting every matching row
+/// costs more than these early-exiting scans.
+Mask ScanProbe(const storage::StoredDocument& stored, const ValuePred& vp,
+               dg::TypeId t, const Rows& sel,
+               const std::vector<dg::TypeId>& tts, ExecContext* ctx) {
   const idx::ValueIndex& vi = stored.value_index();
   const idx::Dictionary& dict = vi.dict();
+  const PackedPbnList& context = stored.PackedNodesOfType(t);
   const bool string_eq = vp.op == CompareOp::kEq && !vp.lit.numeric;
   const uint32_t eq_term = string_eq ? dict.Find(vp.lit.text) : idx::kNoTerm;
-  PackedPbnList out;
+  Mask mask(sel.size(), 0);
   uint64_t skips = 0;
   uint64_t tested = 0;
-  for (size_t i = 0; i < list.size(); ++i) {
+  for (size_t i = 0; i < sel.size(); ++i) {
     bool keep = false;
     for (dg::TypeId tt : tts) {
       if (string_eq && eq_term == idx::kNoTerm) break;  // literal not interned
       const idx::TypeColumn* col = vi.Column(tt);
-      auto [first, last] = stored.TypeRangeWithin(tt, list[i]);
+      auto [first, last] = stored.TypeRangeWithin(tt, context[sel.row(i)]);
       size_t row = first;
       while (row < last && !keep) {
         const size_t b = row / idx::ColumnStats::kZoneBlockRows;
@@ -145,91 +268,32 @@ PackedPbnList PredScanProbe(const storage::StoredDocument& stored,
       }
       if (keep) break;
     }
-    if (keep) out.Append(list[i]);
+    mask[i] = keep;
   }
   if (ctx != nullptr) {
-    ctx->stats().value_index_lookups += list.size() * tts.size();
+    ctx->stats().value_index_lookups += sel.size() * tts.size();
     ctx->stats().value_index_postings += tested;
     ctx->stats().zone_map_skips += skips;
   }
-  return out;
+  return mask;
 }
 
-/// kRowsProbe: answers the predicate per context instance by probing the
-/// (memoized) sorted matching-rows list against the context's terminal-row
-/// range. Contexts arrive in ascending document order, so the probe keeps a
-/// monotone cursor over the rows list and skips whole 256-entry blocks on
-/// their last entry (the block's implicit max) — the postings-block
-/// counterpart of the value zone maps. Chosen for small contexts, where
-/// materializing packed witnesses for every matching row would dominate.
-PackedPbnList PredRowsProbe(const storage::StoredDocument& stored,
-                            const Expr* pred, const ValuePred& vp,
-                            const std::vector<dg::TypeId>& tts,
-                            const PackedPbnList& list, ExecContext* ctx) {
-  const idx::ValueIndex& vi = stored.value_index();
-  std::vector<bool> keep(list.size(), false);
-  uint64_t skips = 0;
-  for (dg::TypeId tt : tts) {
-    const idx::TypeColumn* col = vi.Column(tt);
-    auto rows = MatchingRows(*col, pred, tt, vp.op, vp.lit, ctx);
-    if (rows->empty()) continue;
-    const size_t n = rows->size();
-    const size_t nblocks =
-        (n + idx::ColumnStats::kZoneBlockRows - 1) /
-        idx::ColumnStats::kZoneBlockRows;
-    size_t blk = 0;
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (keep[i]) continue;
-      auto [first, last] = stored.TypeRangeWithin(tt, list[i]);
-      if (first >= last) continue;
-      // Range starts are non-decreasing (nested same-type contexts start
-      // no earlier than their ancestors), so blocks left behind are left
-      // behind for good.
-      while (blk < nblocks) {
-        const size_t tail =
-            std::min(n, (blk + 1) * idx::ColumnStats::kZoneBlockRows) - 1;
-        if ((*rows)[tail] < first) {
-          ++blk;
-          ++skips;
-        } else {
-          break;
-        }
-      }
-      if (blk == nblocks) break;
-      auto it = std::lower_bound(
-          rows->begin() + blk * idx::ColumnStats::kZoneBlockRows, rows->end(),
-          static_cast<uint32_t>(first));
-      if (it != rows->end() && *it < last) keep[i] = true;
-    }
-  }
-  PackedPbnList out;
-  for (size_t i = 0; i < list.size(); ++i) {
-    if (keep[i]) out.Append(list[i]);
-  }
-  if (ctx != nullptr) {
-    ctx->stats().value_index_lookups += list.size() * tts.size();
-    ctx->stats().zone_map_skips += skips;
-  }
-  return out;
-}
-
-/// Applies one recognized value predicate to one type's surviving list.
+/// One recognized value predicate over one type's selection.
 ///
-/// Path-compare predicates pick a strategy with the cost model when every
-/// terminal type has a value column; otherwise they collect witness
-/// instances from the terminal types' dictionary postings / numeric slices
-/// (per-node string scan where a type has no column) and semi-join them
-/// against the context. Attribute predicates mask the context list with
-/// per-row term tests; contains()/starts-with() on a path tests each
-/// context instance's document-order-first terminal instance against a
-/// term bitmap (XPath coerces a node set to its first node's value).
-PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
-                             const Expr* pred, const ValuePred& vp,
-                             dg::TypeId t, const PackedPbnList& list,
-                             ExecContext* ctx) {
+/// Path comparisons take the cost model's strategy when every terminal
+/// type has a value column. The default marks the context rows above the
+/// terminal rows whose value matches: the memoized matching rows for a
+/// covered type, a per-instance string scan for an uncovered one (nested
+/// structure). Attribute predicates read the attribute column at each
+/// context row; contains()/starts-with() on a path tests each context
+/// instance's document-order-first terminal instance against a term bitmap
+/// (XPath coerces a node set to its first node's value).
+Mask ValueMask(const storage::StoredDocument& stored, const Expr* pred,
+               const ValuePred& vp, dg::TypeId t, const Rows& sel,
+               ExecContext* ctx) {
   const idx::ValueIndex& vi = stored.value_index();
   const dg::DataGuide& g = stored.dataguide();
-  PackedPbnList out;
+  Mask mask(sel.size(), 0);
   switch (vp.kind) {
     case ValuePred::Kind::kAttrCompare:
     case ValuePred::Kind::kAttrString: {
@@ -238,313 +302,316 @@ PackedPbnList ApplyValuePred(const storage::StoredDocument& stored,
       const idx::AttrColumn* col = vi.Attr(t, vp.attr);
       std::shared_ptr<const std::vector<uint8_t>> bitmap;
       if (!is_compare) bitmap = TermBitmap(dict, vp.str_fn, vp.lit.text, ctx);
-      const num::PackedPbnList& full = stored.PackedNodesOfType(t);
-      for (size_t i = 0; i < list.size(); ++i) {
-        // The surviving instance's row in the full type list (exact hit).
-        size_t row = full.LowerBound(list[i]);
-        uint32_t term = col != nullptr ? col->term_ids[row] : idx::kNoTerm;
-        bool keep = is_compare
-                        ? TermMatches(dict, term, vp.op, vp.lit)
-                        : (term == idx::kNoTerm ? vp.lit.text.empty()
-                                                : (*bitmap)[term] != 0);
-        if (keep) out.Append(list[i]);
+      for (size_t i = 0; i < sel.size(); ++i) {
+        const uint32_t term =
+            col != nullptr ? col->term_ids[sel.row(i)] : idx::kNoTerm;
+        mask[i] = is_compare ? TermMatches(dict, term, vp.op, vp.lit)
+                             : (term == idx::kNoTerm ? vp.lit.text.empty()
+                                                     : (*bitmap)[term] != 0);
       }
-      if (ctx != nullptr) ctx->stats().value_index_lookups += list.size();
-      return out;
+      if (ctx != nullptr) ctx->stats().value_index_lookups += sel.size();
+      return mask;
     }
     case ValuePred::Kind::kPathCompare: {
       auto tts = ChainTypes(g, vp.path, t, ctx);
-      // Costed strategy choice, applicable when every terminal type has a
-      // value column (all three strategies are byte-identical; an
-      // uncovered type needs the scan fallback below either way).
       const bool covered =
           !tts->empty() &&
           std::all_of(tts->begin(), tts->end(), [&](dg::TypeId tt) {
             return vi.Column(tt) != nullptr;
           });
-      if (covered) {
-        CostModel cm(stored);
-        PredPlan plan =
-            cm.ChoosePredStrategy(t, list.size(), *tts, vp.op, vp.lit);
-        if (plan.strategy == PredStrategy::kScanProbe) {
-          return PredScanProbe(stored, vp, *tts, list, ctx);
-        }
-        if (plan.strategy == PredStrategy::kRowsProbe) {
-          return PredRowsProbe(stored, pred, vp, *tts, list, ctx);
-        }
-        // kWitness falls through to the default path below.
+      if (covered &&
+          CostModel(stored)
+                  .ChoosePredStrategy(t, sel.size(), *tts, vp.op, vp.lit)
+                  .strategy == PredStrategy::kScanProbe) {
+        return ScanProbe(stored, vp, t, sel, *tts, ctx);
       }
-      PackedPbnList witnesses;
       for (dg::TypeId tt : *tts) {
-        const idx::TypeColumn* col = vi.Column(tt);
-        const num::PackedPbnList& packed = stored.PackedNodesOfType(tt);
-        if (col != nullptr) {
+        const PackedPbnList& terminal = stored.PackedNodesOfType(tt);
+        if (const idx::TypeColumn* col = vi.Column(tt)) {
           auto rows = MatchingRows(*col, pred, tt, vp.op, vp.lit, ctx);
-          for (uint32_t row : *rows) witnesses.Append(packed[row]);
-        } else {
-          // Uncovered terminal type (nested structure): scan every
-          // instance's assembled string value.
-          const std::vector<xml::NodeId>& ids = stored.NodeIdsOfType(tt);
-          for (size_t row = 0; row < ids.size(); ++row) {
-            if (CompareValues(stored.doc().StringValue(ids[row]), vp.op,
-                              vp.lit.text)) {
-              witnesses.Append(packed[row]);
-            }
-          }
-          if (ctx != nullptr) ctx->stats().value_scan_fallbacks += ids.size();
+          MarkAncestors(stored, t, sel,
+                        num::PackedRows(terminal, rows->data(), rows->size()),
+                        &mask, ctx);
+          continue;
         }
+        // Uncovered terminal type: scan every instance's assembled string
+        // value.
+        const std::vector<NodeId>& ids = stored.NodeIdsOfType(tt);
+        std::vector<uint32_t> hits;
+        for (uint32_t row = 0; row < ids.size(); ++row) {
+          if (CompareValues(stored.doc().StringValue(ids[row]), vp.op,
+                            vp.lit.text)) {
+            hits.push_back(row);
+          }
+        }
+        if (ctx != nullptr) ctx->stats().value_scan_fallbacks += ids.size();
+        MarkAncestors(stored, t, sel,
+                      num::PackedRows(terminal, hits.data(), hits.size()),
+                      &mask, ctx);
       }
-      witnesses.SortUnique();
-      return SemiJoinAncestors(list, witnesses, ctx);
+      return mask;
     }
     case ValuePred::Kind::kPathString: {
       auto tts = ChainTypes(g, vp.path, t, ctx);
       auto bitmap = TermBitmap(vi.dict(), vp.str_fn, vp.lit.text, ctx);
-      for (size_t i = 0; i < list.size(); ++i) {
+      const PackedPbnList& context = stored.PackedNodesOfType(t);
+      for (size_t i = 0; i < sel.size(); ++i) {
         // Document-order-first terminal instance within this context
         // instance (the node the scan path's string coercion reads).
-        bool have = false;
+        const num::PackedPbnRef scope = context[sel.row(i)];
         dg::TypeId best_tt = dg::kNullType;
         size_t best_row = 0;
-        num::PackedPbnRef best{nullptr, 0, 0};
+        num::PackedPbnRef best;
         for (dg::TypeId tt : *tts) {
-          auto [first, last] = stored.TypeRangeWithin(tt, list[i]);
+          auto [first, last] = stored.TypeRangeWithin(tt, scope);
           if (first >= last) continue;
           num::PackedPbnRef candidate = stored.PackedNodesOfType(tt)[first];
-          if (!have || candidate < best) {
-            have = true;
+          if (best_tt == dg::kNullType || candidate < best) {
             best = candidate;
             best_tt = tt;
             best_row = first;
           }
         }
-        bool keep;
-        if (!have) {
-          keep = vp.lit.text.empty();  // empty node set coerces to ""
+        if (best_tt == dg::kNullType) {
+          mask[i] = vp.lit.text.empty();  // empty node set coerces to ""
+        } else if (const idx::TypeColumn* col = vi.Column(best_tt)) {
+          mask[i] = (*bitmap)[col->term_ids[best_row]] != 0;
         } else {
-          const idx::TypeColumn* col = vi.Column(best_tt);
-          if (col != nullptr) {
-            keep = (*bitmap)[col->term_ids[best_row]] != 0;
-          } else {
-            keep = TermMatchesString(
-                stored.doc().StringValue(
-                    stored.NodeIdsOfType(best_tt)[best_row]),
-                vp.str_fn, vp.lit.text);
-            if (ctx != nullptr) ++ctx->stats().value_scan_fallbacks;
-          }
+          mask[i] = TermMatchesString(
+              stored.doc().StringValue(
+                  stored.NodeIdsOfType(best_tt)[best_row]),
+              vp.str_fn, vp.lit.text);
+          if (ctx != nullptr) ++ctx->stats().value_scan_fallbacks;
         }
-        if (keep) out.Append(list[i]);
       }
-      if (ctx != nullptr) ctx->stats().value_index_lookups += list.size();
-      return out;
+      if (ctx != nullptr) ctx->stats().value_index_lookups += sel.size();
+      return mask;
     }
   }
-  return out;
+  return mask;
 }
 
-/// Rough work estimate for one predicate against the current state, used
-/// to order a step's predicates cheapest (most selective machinery) first:
-/// attribute masks touch only the context list; indexed path comparisons
-/// touch their matching rows, estimated from the column histograms so that
-/// ordering materializes nothing; everything else streams over the terminal
-/// types' full instance lists.
-uint64_t EstimatePredCost(const storage::StoredDocument& stored,
-                          const Expr& pred, const State& state,
-                          ExecContext* ctx) {
+/// A fragment predicate's mask over the selection \p sel of type \p t.
+/// `and` and `or` evaluate their right side only on the entries the left
+/// side leaves open, as the per-node evaluator short-circuits.
+Mask PredMask(const storage::StoredDocument& stored, const Expr& pred,
+              dg::TypeId t, const Rows& sel, ExecContext* ctx) {
+  switch (pred.kind) {
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr: {
+      Mask mask = PredMask(stored, *pred.lhs, t, sel, ctx);
+      const bool open = pred.kind == Expr::Kind::kAnd;
+      Mask rhs = PredMask(stored, *pred.rhs, t, sel.Keep(mask, open), ctx);
+      size_t j = 0;
+      for (char& m : mask) {
+        if ((m != 0) == open) m = rhs[j++];
+      }
+      return mask;
+    }
+    case Expr::Kind::kNot: {
+      Mask mask = PredMask(stored, *pred.lhs, t, sel, ctx);
+      for (char& m : mask) m = !m;
+      return mask;
+    }
+    case Expr::Kind::kAttribute: {
+      // [@a] holds where the attribute is present with a non-empty value
+      // (the per-node evaluator's string truthiness).
+      const idx::ValueIndex& vi = stored.value_index();
+      const idx::AttrColumn* col = vi.Attr(t, pred.str);
+      const uint32_t empty = vi.dict().Find("");
+      Mask mask(sel.size(), 0);
+      for (size_t i = 0; col != nullptr && i < sel.size(); ++i) {
+        const uint32_t term = col->term_ids[sel.row(i)];
+        mask[i] = term != idx::kNoTerm && term != empty;
+      }
+      if (ctx != nullptr) ctx->stats().value_index_lookups += sel.size();
+      return mask;
+    }
+    case Expr::Kind::kPath: {
+      // Existence: run the chain from the context rows, then mark the
+      // context rows above a terminal row.
+      State anchor;
+      anchor.types.emplace(t, sel);
+      State terminal = EvalChain(stored, pred.path, std::move(anchor), ctx);
+      Mask mask(sel.size(), 0);
+      for (const auto& [tt, rows] : terminal.types) {
+        MarkAncestors(stored, t, sel,
+                      rows.Over(stored.PackedNodesOfType(tt)), &mask, ctx);
+      }
+      return mask;
+    }
+    default: {
+      ValuePred vp;
+      RecognizeValuePred(pred, &vp);  // InFragment admitted it
+      return ValueMask(stored, &pred, vp, t, sel, ctx);
+    }
+  }
+}
+
+/// Rough work estimate for one predicate over \p n context rows of \p t,
+/// used to order a step's predicates cheapest first: attribute masks touch
+/// only the context rows; indexed path comparisons touch their matching
+/// rows, estimated from the column histograms so that ordering
+/// materializes nothing; everything else streams over the terminal types'
+/// full instance lists.
+uint64_t PredCost(const storage::StoredDocument& stored, const Expr& pred,
+                  dg::TypeId t, size_t n, ExecContext* ctx) {
   const dg::DataGuide& g = stored.dataguide();
-  uint64_t total = 0;
-  ValuePred vp;
-  if (pred.kind != Expr::Kind::kPath && RecognizeValuePred(pred, &vp)) {
-    if (vp.kind == ValuePred::Kind::kAttrCompare ||
-        vp.kind == ValuePred::Kind::kAttrString) {
-      for (const auto& [t, list] : state) total += list.size();
+  auto count = [&](dg::TypeId tt) { return stored.NodeIdsOfType(tt).size(); };
+  switch (pred.kind) {
+    case Expr::Kind::kAttribute:
+      return n;
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+      return PredCost(stored, *pred.lhs, t, n, ctx) +
+             PredCost(stored, *pred.rhs, t, n, ctx);
+    case Expr::Kind::kNot:
+      return PredCost(stored, *pred.lhs, t, n, ctx);
+    case Expr::Kind::kPath: {
+      uint64_t total = 0;
+      for (dg::TypeId tt : ResolveChainTypes(g, t, pred.path)) {
+        total += count(tt);
+      }
       return total;
     }
-    for (const auto& [t, list] : state) {
-      auto tts = ChainTypes(g, vp.path, t, ctx);
-      for (dg::TypeId tt : *tts) {
-        const idx::TypeColumn* col = stored.value_index().Column(tt);
-        if (vp.kind == ValuePred::Kind::kPathString) {
-          total += col != nullptr ? list.size()
-                                  : stored.PackedNodesOfType(tt).size();
-        } else if (col != nullptr) {
-          total += static_cast<uint64_t>(
-              CardinalityEstimator::ColumnSelectivity(*col, vp.op, vp.lit) *
-              static_cast<double>(col->stats.row_count));
-        } else {
-          total += stored.PackedNodesOfType(tt).size();
-        }
-      }
-    }
-    return total;
+    default:
+      break;
   }
-  // Existence chain: the semi-join streams over every terminal instance.
-  for (const auto& [t, list] : state) {
-    for (dg::TypeId tt : ResolveChainTypes(g, t, pred.path)) {
-      total += stored.PackedNodesOfType(tt).size();
+  ValuePred vp;
+  RecognizeValuePred(pred, &vp);
+  if (vp.kind == ValuePred::Kind::kAttrCompare ||
+      vp.kind == ValuePred::Kind::kAttrString) {
+    return n;
+  }
+  uint64_t total = 0;
+  for (dg::TypeId tt : *ChainTypes(g, vp.path, t, ctx)) {
+    const idx::TypeColumn* col = stored.value_index().Column(tt);
+    if (vp.kind == ValuePred::Kind::kPathString) {
+      total += col != nullptr ? n : count(tt);
+    } else if (col != nullptr) {
+      total += static_cast<uint64_t>(
+          CardinalityEstimator::ColumnSelectivity(*col, vp.op, vp.lit) *
+          static_cast<double>(col->stats.row_count));
+    } else {
+      total += count(tt);
     }
   }
   return total;
 }
 
-/// Applies one step's predicates to every per-type list, cheapest first.
-/// Each per-type filter anchors at one type; types whose list empties drop
-/// out. All predicate forms here are existential, so applying them in
-/// selectivity order changes the work, never the result.
+/// Applies one step's predicates to every type's selection, cheapest
+/// first. Each predicate masks one type's rows at a time; types whose
+/// selection empties drop out. Non-positional predicates filter nodes
+/// independently, so their order changes the work, never the result.
 State ApplyPredicates(const storage::StoredDocument& stored, const Step& step,
                       State state, ExecContext* ctx) {
-  std::vector<const Expr*> preds;
-  preds.reserve(step.predicates.size());
-  for (const auto& pred : step.predicates) preds.push_back(pred.get());
-  if (preds.size() > 1) {
-    std::vector<std::pair<uint64_t, const Expr*>> costed;
-    costed.reserve(preds.size());
-    for (const Expr* p : preds) {
-      costed.emplace_back(EstimatePredCost(stored, *p, state, ctx), p);
-    }
-    std::stable_sort(
-        costed.begin(), costed.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (size_t i = 0; i < costed.size(); ++i) preds[i] = costed[i].second;
-  }
-  for (const Expr* pred : preds) {
-    ValuePred vp;
-    const bool is_value =
-        pred->kind != Expr::Kind::kPath && RecognizeValuePred(*pred, &vp);
-    State filtered;
-    for (const auto& [t, list] : state) {
-      if (list.empty()) continue;
-      PackedPbnList kept;
-      if (is_value) {
-        kept = ApplyValuePred(stored, pred, vp, t, list, ctx);
-      } else {
-        // Evaluate the relative chain anchored at this type.
-        State anchor;
-        anchor.emplace(t, list);
-        State terminal = EvalChain(stored, pred->path, 0, std::move(anchor),
-                                   /*from_document=*/false, ctx);
-        // Union of all terminal instances witnesses the predicate.
-        PackedPbnList witnesses;
-        for (auto& [tt, tlist] : terminal) {
-          for (size_t j = 0; j < tlist.size(); ++j) {
-            witnesses.Append(tlist[j]);
-          }
-        }
-        witnesses.SortUnique();
-        kept = SemiJoinAncestors(list, witnesses, ctx);
+  std::vector<std::pair<uint64_t, const Expr*>> preds;
+  for (const auto& pred : step.predicates) {
+    uint64_t cost = 0;
+    if (step.predicates.size() > 1) {
+      for (const auto& [t, sel] : state.types) {
+        cost += PredCost(stored, *pred, t, sel.size(), ctx);
       }
-      if (!kept.empty()) filtered.emplace(t, std::move(kept));
     }
-    state = std::move(filtered);
+    preds.emplace_back(cost, pred.get());
+  }
+  std::stable_sort(preds.begin(), preds.end(), [](const auto& a,
+                                                  const auto& b) {
+    return a.first < b.first;
+  });
+  for (const auto& [cost, pred] : preds) {
+    for (auto it = state.types.begin(); it != state.types.end();) {
+      Rows& sel = it->second;
+      sel = sel.Keep(PredMask(stored, *pred, it->first, sel, ctx));
+      it = sel.empty() ? state.types.erase(it) : std::next(it);
+    }
   }
   return state;
 }
 
 State EvalChain(const storage::StoredDocument& stored, const Path& path,
-                size_t first_step, State state, bool from_document,
-                ExecContext* ctx) {
+                State state, ExecContext* ctx) {
   const dg::DataGuide& g = stored.dataguide();
-  bool doc_node = from_document;
-  for (size_t s = first_step; s < path.steps.size(); ++s) {
-    const Step& step = path.steps[s];
-    if (step.axis == num::Axis::kDescendantOrSelf &&
-        step.test.kind == NodeTest::Kind::kAnyNode) {
-      // The '//' anonymous step: extend every context type with all of its
-      // descendants (instances unrestricted below the context — the next
-      // step's join against the context list does the real filtering, so
-      // fold this step into the next by expanding the *type* frontier).
-      State next = state;
-      for (auto& [t, list] : state) {
-        for (dg::TypeId dt : g.DescendantTypes(t)) {
-          // Descendant instances within any context instance: join.
-          const PackedPbnList& all = stored.PackedNodesOfType(dt);
-          auto pairs = Join(num::Axis::kDescendant, list, all, ctx);
-          std::vector<bool> mark(all.size(), false);
-          for (const num::JoinPair& p : pairs) mark[p.descendant_index] = true;
-          PackedPbnList kept;
-          for (size_t i = 0; i < all.size(); ++i) {
-            if (mark[i]) kept.Append(all[i]);
-          }
-          if (kept.empty()) continue;
-          auto it = next.find(dt);
-          if (it == next.end()) {
-            next.emplace(dt, std::move(kept));
-          } else {
-            it->second = PackedPbnList::MergeUnique(it->second, kept);
-          }
-        }
-      }
-      if (doc_node) {
-        // From the document node '//' reaches every type in full.
-        next.clear();
-        for (dg::TypeId t = 0; t < g.num_types(); ++t) {
-          next.emplace(t, stored.PackedNodesOfType(t));
-        }
-        doc_node = false;
-      }
-      state = std::move(next);
-      continue;
-    }
-
+  for (const Step& step : path.steps) {
     State next;
-    auto add = [&](dg::TypeId nt, PackedPbnList kept) {
-      if (kept.empty()) return;
-      if (ctx) ctx->stats().nodes_scanned += kept.size();
-      auto it = next.find(nt);
-      if (it == next.end()) {
-        next.emplace(nt, std::move(kept));
-      } else {
-        it->second = PackedPbnList::MergeUnique(it->second, kept);
-      }
+    auto add = [&](dg::TypeId nt, Rows rows) {
+      if (rows.empty()) return;
+      if (ctx) ctx->stats().nodes_scanned += rows.size();
+      next.types[nt].Unite(std::move(rows));
     };
-
-    if (doc_node) {
-      // Step from the document node.
-      if (step.axis == num::Axis::kChild) {
-        for (dg::TypeId rt : g.roots()) {
-          if (TypeMatches(g, rt, step.test)) {
-            add(rt, stored.PackedNodesOfType(rt));
+    auto all = [&](dg::TypeId nt) {
+      return Rows::All(stored.PackedNodesOfType(nt).size());
+    };
+    if (state.doc) {
+      // Steps from the document node. It has no parent or ancestors.
+      switch (step.axis) {
+        case num::Axis::kChild:
+          for (dg::TypeId rt : g.roots()) {
+            if (TypeMatches(g, rt, step.test)) add(rt, all(rt));
           }
-        }
-      } else {  // descendant
-        for (dg::TypeId t = 0; t < g.num_types(); ++t) {
-          if (TypeMatches(g, t, step.test)) {
-            add(t, stored.PackedNodesOfType(t));
+          break;
+        case num::Axis::kDescendant:
+        case num::Axis::kDescendantOrSelf:
+          // '//' keeps the document node itself in the context.
+          next.doc = step.axis == num::Axis::kDescendantOrSelf;
+          for (dg::TypeId t = 0; t < g.num_types(); ++t) {
+            if (TypeMatches(g, t, step.test)) add(t, all(t));
           }
-        }
-      }
-      doc_node = false;
-    } else {
-      for (auto& [t, list] : state) {
-        std::vector<dg::TypeId> candidates;
-        if (step.axis == num::Axis::kChild) {
-          candidates = g.children(t);
-        } else {
-          candidates = g.DescendantTypes(t);
-        }
-        for (dg::TypeId nt : candidates) {
-          if (!TypeMatches(g, nt, step.test)) continue;
-          const PackedPbnList& all = stored.PackedNodesOfType(nt);
-          std::vector<num::JoinPair> pairs = Join(step.axis, list, all, ctx);
-          std::vector<bool> mark(all.size(), false);
-          for (const num::JoinPair& p : pairs) mark[p.descendant_index] = true;
-          PackedPbnList kept;
-          for (size_t i = 0; i < all.size(); ++i) {
-            if (mark[i]) kept.Append(all[i]);
-          }
-          add(nt, std::move(kept));
-        }
+          break;
+        default:
+          break;
       }
     }
-    state = std::move(next);
-    state = ApplyPredicates(stored, step, std::move(state), ctx);
+    for (auto& [t, sel] : state.types) {
+      switch (step.axis) {
+        case num::Axis::kChild:
+          for (dg::TypeId ct : g.children(t)) {
+            if (TypeMatches(g, ct, step.test)) {
+              add(ct, Below(stored, t, sel, ct, /*child=*/true, ctx));
+            }
+          }
+          break;
+        case num::Axis::kDescendant:
+        case num::Axis::kDescendantOrSelf:
+          for (dg::TypeId dt : g.DescendantTypes(t)) {
+            if (TypeMatches(g, dt, step.test)) {
+              add(dt, Below(stored, t, sel, dt, /*child=*/false, ctx));
+            }
+          }
+          // Only the anonymous '//' step is in the fragment: self matches.
+          if (step.axis == num::Axis::kDescendantOrSelf) add(t, std::move(sel));
+          break;
+        case num::Axis::kParent: {
+          const dg::TypeId pt = g.parent(t);
+          if (pt != dg::kNullType && TypeMatches(g, pt, step.test)) {
+            add(pt, Above(stored, t, sel, pt, /*parent=*/true, ctx));
+          }
+          break;
+        }
+        case num::Axis::kAncestor:
+        case num::Axis::kAncestorOrSelf:
+          for (dg::TypeId at = g.parent(t); at != dg::kNullType;
+               at = g.parent(at)) {
+            if (TypeMatches(g, at, step.test)) {
+              add(at, Above(stored, t, sel, at, /*parent=*/false, ctx));
+            }
+          }
+          if (step.axis == num::Axis::kAncestorOrSelf &&
+              TypeMatches(g, t, step.test)) {
+            add(t, std::move(sel));
+          }
+          break;
+        default:
+          break;  // outside the fragment
+      }
+    }
+    state = ApplyPredicates(stored, step, std::move(next), ctx);
   }
   return state;
 }
 
-/// The surviving per-type lists as NodeIds in document order. Each list is
-/// a sorted subset of its type's full arena, so LowerBound there finds each
-/// survivor's row, and the row's NodeId comes from the aligned column. The
+/// The surviving rows as NodeIds in document order. Each type's NodeIds
+/// are read at its rows from the column aligned with its arena. The
 /// per-type runs are then merged on their packed numbers: every run is
 /// sorted and no node belongs to two types, so a heap over the run heads
 /// emits document order in O(n log k) for k runs (a `//*` result has one
@@ -553,28 +620,24 @@ std::vector<NodeId> InDocumentOrder(const storage::StoredDocument& stored,
                                     const State& state) {
   struct Run {
     const PackedPbnList* numbers;
-    std::vector<NodeId> ids;  // aligned with *numbers
+    const std::vector<NodeId>* ids;
+    const Rows* rows;
   };
   std::vector<Run> runs;
-  runs.reserve(state.size());
   size_t total = 0;
-  for (const auto& [t, list] : state) {
-    if (list.empty()) continue;
-    const PackedPbnList& full = stored.PackedNodesOfType(t);
-    const std::vector<NodeId>& all_ids = stored.NodeIdsOfType(t);
-    Run run{&list, {}};
-    if (list.size() == full.size()) {
-      run.ids = all_ids;  // every instance survived
-    } else {
-      run.ids.reserve(list.size());
-      for (size_t i = 0; i < list.size(); ++i) {
-        run.ids.push_back(all_ids[full.LowerBound(list[i])]);
-      }
-    }
-    total += list.size();
-    runs.push_back(std::move(run));
+  for (const auto& [t, sel] : state.types) {
+    runs.push_back({&stored.PackedNodesOfType(t), &stored.NodeIdsOfType(t),
+                    &sel});
+    total += sel.size();
   }
-  if (runs.size() == 1) return std::move(runs[0].ids);
+  std::vector<NodeId> out;
+  out.reserve(total);
+  if (runs.size() == 1) {
+    for (size_t i = 0; i < total; ++i) {
+      out.push_back((*runs[0].ids)[runs[0].rows->row(i)]);
+    }
+    return out;
+  }
 
   struct Head {
     num::PackedPbnRef number;
@@ -586,18 +649,18 @@ std::vector<NodeId> InDocumentOrder(const storage::StoredDocument& stored,
   std::vector<Head> heap;
   heap.reserve(runs.size());
   for (size_t r = 0; r < runs.size(); ++r) {
-    heap.push_back({(*runs[r].numbers)[0], static_cast<uint32_t>(r), 0});
+    heap.push_back(
+        {(*runs[r].numbers)[runs[r].rows->row(0)], static_cast<uint32_t>(r),
+         0});
   }
   std::make_heap(heap.begin(), heap.end(), after);
-  std::vector<NodeId> out;
-  out.reserve(total);
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), after);
     Head& h = heap.back();
     const Run& run = runs[h.run];
-    out.push_back(run.ids[h.pos]);
-    if (++h.pos < run.ids.size()) {
-      h.number = (*run.numbers)[h.pos];
+    out.push_back((*run.ids)[run.rows->row(h.pos)]);
+    if (++h.pos < run.rows->size()) {
+      h.number = (*run.numbers)[run.rows->row(h.pos)];
       std::push_heap(heap.begin(), heap.end(), after);
     } else {
       heap.pop_back();
@@ -608,18 +671,22 @@ std::vector<NodeId> InDocumentOrder(const storage::StoredDocument& stored,
 
 }  // namespace
 
-bool InBulkFragment(const Path& path) { return InFragment(path); }
+bool InBulkFragment(const Path& path) {
+  return InFragment(path, /*top_level=*/true);
+}
 
 Result<std::vector<NodeId>> EvalBulk(const storage::StoredDocument& stored,
                                      const Path& path, ExecContext* ctx) {
-  if (!InFragment(path)) {
+  if (!InBulkFragment(path)) {
     return Status::NotImplemented(
-        "bulk evaluation supports child/descendant chains with existence "
-        "and value (comparison / contains / starts-with) predicates only");
+        "bulk evaluation supports child, descendant, parent and ancestor "
+        "steps with existence, value, attribute and boolean predicates "
+        "only");
   }
-  State state =
-      EvalChain(stored, path, 0, State(), /*from_document=*/true, ctx);
-  return InDocumentOrder(stored, state);
+  State start;
+  start.doc = true;
+  State result = EvalChain(stored, path, std::move(start), ctx);
+  return InDocumentOrder(stored, result);
 }
 
 Result<std::vector<NodeId>> EvalBulk(const storage::StoredDocument& stored,

@@ -2,23 +2,31 @@
 /// \brief Set-at-a-time path evaluation over the type index using
 /// stack-tree structural joins (pbn/structural_join.h).
 ///
-/// The per-node evaluators (eval_indexed.h) process one context node at a
+/// The per-node evaluator (eval_indexed.h) processes one context node at a
 /// time; the classic PBN-era alternative evaluates whole steps as joins
-/// between sorted instance lists. With a DataGuide, a pure name-test chain
-/// resolves to result *types* directly (one index lookup); joins are needed
-/// exactly where predicates filter instances, which is where this evaluator
-/// earns its keep:
+/// between sorted instance lists. With a DataGuide, a name-test chain
+/// resolves to result *types* directly, so the state is, per type, a
+/// selection of rows of that type's packed arena: sorted rows, or every
+/// row. Joins read the arenas at the selected rows in place; predicates
+/// mask the rows; the result reads NodeIds by row. Nothing is copied:
 ///
 ///     //book[author/name]/title
-///       1. types(book) instances      — index lookup
-///       2. semi-join against types(book/author/name) instances (retain
-///          books with a matching descendant)
-///       3. parent-child join with types(title) under the retained books
+///       1. every book row                      — index lookup
+///       2. every name row (a child type of a child type of book: every
+///          instance lies under a book, so no join), then one
+///          ancestor-descendant join of books with names marks the books
+///          the predicate holds for
+///       3. a parent-child join of the marked book rows with title rows
+///          (none when every book is marked)
 ///
-/// Supported fragment: absolute paths of child/descendant steps with
-/// name/wildcard/text tests and *existence* predicates that are themselves
-/// such paths. Everything else returns NotImplemented; QueryEngine plans
-/// those paths on EvalIndexed.
+/// Supported fragment: absolute paths of child, descendant, '//', parent,
+/// ancestor and ancestor-or-self steps with name/wildcard/text/node tests,
+/// and predicates built from existence paths of downward steps, value
+/// comparisons with a literal, contains()/starts-with() with a literal
+/// (query/value_pushdown.h), @attr, and and/or/not over those. Everything
+/// else (positions, count(), value joins, a trailing @attr, the self,
+/// sibling and following/preceding axes) returns NotImplemented;
+/// QueryEngine plans those paths on EvalIndexed.
 
 #pragma once
 
@@ -32,8 +40,7 @@
 
 namespace vpbn::query {
 
-/// \brief True iff \p path lies in the bulk-join fragment (child/descendant
-/// chains, name-ish tests, existence predicates that are such chains).
+/// \brief True iff \p path lies in the bulk-join fragment described above.
 /// Exposed so planners (query/engine.h) can pick the strategy once at
 /// Prepare time instead of probing with a NotImplemented round trip.
 bool InBulkFragment(const Path& path);

@@ -10,10 +10,11 @@
 /// the query machinery whose virtual twin (eval_virtual.h) the paper builds.
 ///
 /// QueryEngine plans it only for the shapes the set-at-a-time bulk joins
-/// (eval_bulk.h) cannot express: positional and order-sensitive
-/// predicates, and the reverse, sibling and document-order axes. Its value
-/// comparisons read the value index's interned terms (FastStringValue), but
-/// it pushes no predicate down; that is bulk's job.
+/// (eval_bulk.h) cannot express: positional predicates, count(), value
+/// joins, a trailing @attr, predicates with upward steps, and the self,
+/// sibling and following/preceding axes. Its value comparisons read the
+/// value index's interned terms (FastStringValue), but it pushes no
+/// predicate down; that is bulk's job.
 ///
 /// Node handles are NodeIds, shared with the Document. A node's number is
 /// its row in its type's packed arena, so no step encodes or hashes a Pbn,

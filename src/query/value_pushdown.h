@@ -10,7 +10,7 @@
 ///   [path op literal]        -> per terminal type, a postings lookup
 ///                               (equality) or a binary-searched slice of
 ///                               the numeric column (relational);
-///   [@attr op literal]       -> a term-id mask over the context list;
+///   [@attr op literal]       -> a term-id mask over the context rows;
 ///   [contains(path, lit)]    -> a term bitmap built by testing each
 ///   [starts-with(path, lit)]    distinct dictionary term once;
 ///

@@ -19,11 +19,12 @@ std::string ResultCache::Key(const std::string& doc, const std::string& view,
 }
 
 std::shared_ptr<const ResultCache::Entry> ResultCache::Get(
-    const std::string& key) {
+    const std::string& key, bool with_stats) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
-    if (it != index_.end()) {
+    if (it != index_.end() &&
+        (!with_stats || !it->second->second->stats_json.empty())) {
       lru_.splice(lru_.begin(), lru_, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second->second;

@@ -34,6 +34,9 @@ class ResultCache {
     uint64_t result_nodes = 0;
     std::string plan;
     double wall_ms = 0;  ///< execution cost of the original (uncached) run
+    /// ExecStats::ToJson of that run when it collected stats, else empty;
+    /// a `--stats` hit replays it.
+    std::string stats_json;
   };
 
   /// \p capacity 0 disables caching (every Get misses, Put drops).
@@ -45,8 +48,11 @@ class ResultCache {
   static std::string Key(const std::string& doc, const std::string& view,
                          const std::string& path, uint64_t epoch);
 
-  /// nullptr on miss. Bumps the entry to most-recently-used on hit.
-  std::shared_ptr<const Entry> Get(const std::string& key);
+  /// nullptr on miss. With \p with_stats, an entry that holds no stats
+  /// is a miss too (the caller re-executes and refreshes it). Bumps the
+  /// entry to most-recently-used on hit.
+  std::shared_ptr<const Entry> Get(const std::string& key,
+                                   bool with_stats = false);
 
   /// Inserts (or refreshes) \p entry under \p key, evicting LRU entries
   /// beyond capacity.

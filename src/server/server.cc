@@ -266,9 +266,11 @@ std::string Server::HandleQuery(const Request& req) {
       ResultCache::Key(req.doc, req.view, req.path, entry->epoch);
   const bool want_stats = engine->EffectiveOptions(req.overrides).collect_stats;
 
-  std::shared_ptr<const ResultCache::Entry> cached = result_cache_.Get(key);
+  // A --stats hit replays the stats of the execution that filled the
+  // entry; an entry filled without them runs again and is refreshed.
+  std::shared_ptr<const ResultCache::Entry> cached =
+      result_cache_.Get(key, want_stats);
   const bool cache_hit = cached != nullptr;
-  std::string stats_json;
   if (!cached) {
     auto prepared = engine->Prepare(req.path);
     if (!prepared.ok()) {
@@ -284,7 +286,7 @@ std::string Server::HandleQuery(const Request& req) {
     fresh->result_nodes = result.size();
     fresh->plan = result.stats().plan;
     fresh->wall_ms = result.stats().wall_ms;
-    if (want_stats) stats_json = result.stats().ToJson();
+    if (want_stats) fresh->stats_json = result.stats().ToJson();
     result_cache_.Put(key, fresh);
     cached = std::move(fresh);
   }
@@ -305,9 +307,9 @@ std::string Server::HandleQuery(const Request& req) {
   out += FormatMs(cached->wall_ms);
   out += ",\"values\":";
   out += JsonStringArray(cached->values);
-  if (!stats_json.empty()) {
+  if (want_stats) {
     out += ",\"stats\":";
-    out += stats_json;
+    out += cached->stats_json;
   }
   out += '}';
   return out;

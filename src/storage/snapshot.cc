@@ -306,13 +306,6 @@ Status ValidateCanonicalNumbers(
 
 }  // namespace
 
-std::string Snapshot::Write(const StoredDocument& sd, uint32_t version,
-                            bool stats_section) {
-  if (version == 1) return WriteV1(sd);
-  if (version == 2) return WriteV2(sd, stats_section);
-  return {};
-}
-
 void Snapshot::WriteValues(const StoredDocument& sd, std::string* outp) {
   std::string& out = *outp;
   const dg::DataGuide& guide = sd.guide_;
@@ -348,50 +341,7 @@ void Snapshot::WriteValues(const StoredDocument& sd, std::string* outp) {
   }
 }
 
-std::string Snapshot::WriteV1(const StoredDocument& sd) {
-  sd.EnsureAllPacked();
-  std::string out;
-  out.append(kMagic);
-  PutVarint32(&out, 1);
-
-  // Document section: the existing binary Document codec, length-prefixed
-  // so corrupt inner bytes cannot desynchronize the outer stream.
-  PutString(&out, xml::WriteBinary(sd.doc()));
-
-  // Stored text + per-node byte ranges.
-  PutString(&out, sd.text_);
-  for (const auto& [start, end] : sd.ranges_) {
-    PutVarint64(&out, start);
-    PutVarint64(&out, end - start);
-  }
-
-  // DataGuide: (label, parent) per type in TypeId order. Load replays them
-  // through AddType, which reproduces paths, type PBNs and child lists.
-  const dg::DataGuide& guide = sd.guide_;
-  PutVarint64(&out, guide.num_types());
-  for (dg::TypeId t = 0; t < guide.num_types(); ++t) {
-    PutString(&out, guide.label(t));
-    dg::TypeId parent = guide.parent(t);
-    PutVarint32(&out, parent == dg::kNullType ? 0 : parent + 1);
-  }
-
-  // Per-type instance lists + packed arenas. The NodeId lists carry the
-  // node-type column and the node-row column implicitly (a node's type is
-  // the list it appears in; its row is its position), so neither is stored
-  // and Load skips the document-order derive pass entirely. Offsets,
-  // lengths and sort keys are re-derived from the codec framing on load.
-  for (dg::TypeId t = 0; t < guide.num_types(); ++t) {
-    const num::PackedPbnList& list = sd.packed_type_index_[t];
-    PutVarint64(&out, list.size());
-    for (xml::NodeId id : sd.type_node_index_[t]) PutVarint32(&out, id);
-    PutString(&out, std::string_view(list.arena_data(), list.arena_bytes()));
-  }
-
-  WriteValues(sd, &out);
-  return out;
-}
-
-std::string Snapshot::WriteV2(const StoredDocument& sd, bool stats_section) {
+std::string Snapshot::Write(const StoredDocument& sd, bool stats_section) {
   sd.EnsureAllPacked();
   const dg::DataGuide& guide = sd.guide_;
 
@@ -902,13 +852,8 @@ Result<StoredDocument> Snapshot::LoadV2(
   return out;
 }
 
-Status Snapshot::WriteFile(const StoredDocument& sd, const std::string& path,
-                           uint32_t version) {
-  std::string bytes = Write(sd, version);
-  if (bytes.empty()) {
-    return Status::InvalidArgument("snapshot: unsupported write version " +
-                                   std::to_string(version));
-  }
+Status Snapshot::WriteFile(const StoredDocument& sd, const std::string& path) {
+  std::string bytes = Write(sd);
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) {
     return Status::InvalidArgument("snapshot: cannot open " + path +

@@ -10,7 +10,8 @@
 /// reconstructs a query-ready StoredDocument (owning its Document) with no
 /// renumbering or re-indexing.
 ///
-/// Layout (all integers LEB128 varints; strings are length-prefixed):
+/// Version 1 layout, still loaded but no longer written (all integers
+/// LEB128 varints; strings are length-prefixed):
 ///
 ///   magic "VPSN" | version
 ///   document    : xml::WriteBinary blob (one length-prefixed string)
@@ -86,21 +87,14 @@ namespace vpbn::storage {
 
 class Snapshot {
  public:
-  /// Current on-disk format version. Version 1 is the legacy flat layout
-  /// (everything stored raw, structurally re-validated on load); version 2
-  /// is the compressed, checksummed, page-aligned section layout described
-  /// above. Both load; Write defaults to the newest.
-  static constexpr uint32_t kVersion = 2;
-
-  /// Serialize \p sd (document + every built artifact) into snapshot form.
-  /// \p version selects the on-disk format (1 or 2); anything else returns
-  /// an empty string. \p stats_section controls whether a v2 snapshot
-  /// carries the optional STATS section (ignored for v1); writing without
-  /// it reproduces the pre-STATS v2 layout, which the backward-compat
-  /// tests load to prove old snapshots keep working.
-  static std::string Write(const StoredDocument& sd,
-                           uint32_t version = kVersion,
-                           bool stats_section = true);
+  /// Serialize \p sd (document + every built artifact) into the version 2
+  /// form described above. Version 1, the legacy flat layout (everything
+  /// stored raw, structurally re-validated on load), is no longer written
+  /// but still loads. \p stats_section controls whether the snapshot
+  /// carries the optional STATS section; writing without it reproduces the
+  /// pre-STATS v2 layout, which the backward-compat tests load to prove old
+  /// snapshots keep working.
+  static std::string Write(const StoredDocument& sd, bool stats_section = true);
 
   /// Reconstruct a query-ready StoredDocument. The returned document owns
   /// its xml::Document; nothing is renumbered or re-indexed. Fails with
@@ -113,15 +107,12 @@ class Snapshot {
   /// default), LoadFile memory-maps the file instead of copying it; a v2
   /// document then keeps the mapping alive and decodes arenas straight out
   /// of it, so the page cache is shared across processes.
-  static Status WriteFile(const StoredDocument& sd, const std::string& path,
-                          uint32_t version = kVersion);
+  static Status WriteFile(const StoredDocument& sd, const std::string& path);
   static Result<StoredDocument> LoadFile(const std::string& path,
                                          bool use_mmap = true);
 
  private:
-  static std::string WriteV1(const StoredDocument& sd);
-  static std::string WriteV2(const StoredDocument& sd, bool stats_section);
-  /// The value-index section bytes, shared verbatim by both versions.
+  /// The value-index section bytes, laid out as version 1 stored them.
   static void WriteValues(const StoredDocument& sd, std::string* out);
   /// \p stats, when non-null, holds per-type statistics parsed from a v2
   /// STATS section; covered columns move them in instead of recomputing.

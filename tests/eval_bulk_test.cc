@@ -4,6 +4,7 @@
 
 #include "query/engine.h"
 #include "query/eval_indexed.h"
+#include "query/eval_nav.h"
 #include "tests/test_util.h"
 #include "workload/auctions.h"
 #include "workload/books.h"
@@ -70,12 +71,49 @@ TEST(EvalBulkTest, PredicateActuallyFilters) {
 TEST(EvalBulkTest, OutsideFragmentIsNotImplemented) {
   Fixture f;
   for (const char* path :
-       {"//title/..", "//name/ancestor::book",
-        "//book[@year]", "//book[count(author) > 1]",
-        "//title/following-sibling::author", "//book[not(publisher)]"}) {
+       {"/data/book[2]", "//book[title = author/name]",
+        "//book[count(author) > 1]", "//title/following-sibling::author",
+        "//name/following::title", "//book[../book]", "//book/self::book"}) {
     auto r = EvalBulk(f.stored, path);
     EXPECT_TRUE(r.status().IsNotImplemented()) << path << ": " << r.status();
   }
+}
+
+TEST(EvalBulkTest, ReverseAxesAndBooleanPredicates) {
+  // Parent and ancestor steps are the forward joins with the roles
+  // swapped; and/or/not and [@attr] combine per-row masks.
+  auto parsed = xml::Parse(
+      "<data><book year=\"1990\"><title>A</title><author/></book>"
+      "<book year=\"\"><title>B</title></book>"
+      "<book><title>C</title><publisher/></book></data>");
+  ASSERT_TRUE(parsed.ok());
+  Fixture f(std::move(parsed).ValueUnsafe());
+  EXPECT_EQ(f.Agree("//title/.."), 3u);
+  EXPECT_EQ(f.Agree("/data/.."), 0u);
+  EXPECT_EQ(f.Agree("//author/ancestor::*"), 2u);
+  EXPECT_EQ(f.Agree("//author/ancestor-or-self::node()"), 3u);
+  EXPECT_EQ(f.Agree("//title/text()/ancestor::book"), 3u);
+  EXPECT_EQ(f.Agree("//book[@year]"), 1u);  // an empty value is false
+  EXPECT_EQ(f.Agree("//book[not(@year)]"), 2u);
+  EXPECT_EQ(f.Agree("//book[not(publisher)]/title"), 2u);
+  EXPECT_EQ(f.Agree("//book[author or publisher]"), 2u);
+  EXPECT_EQ(f.Agree("//book[title = \"B\" or @year > 1980]"), 2u);
+  EXPECT_EQ(f.Agree("//book[title and not(author) and not(@year)]"), 2u);
+}
+
+TEST(EvalBulkTest, FullSelectionsStepWithoutJoins) {
+  // Every `name` under an `item` type lies under an item, so the step from
+  // all items to their names needs no join.
+  workload::AuctionsOptions opts;
+  opts.num_items = 40;
+  opts.num_auctions = 30;
+  Fixture f(workload::GenerateAuctions(opts));
+  ExecContext ctx(/*collect_stats=*/true);
+  auto r = EvalBulk(f.stored, *ParsePath("//item/name"), &ctx);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->size(), 40u);
+  EXPECT_EQ(ctx.stats().join_pairs, 0u);
+  EXPECT_EQ(f.Agree("//item/name"), 40u);
 }
 
 TEST(EvalBulkTest, ValuePredicatesAreInFragment) {
@@ -94,6 +132,38 @@ TEST(EvalBulkTest, ValuePredicatesAreInFragment) {
     ASSERT_TRUE(idx.ok());
     EXPECT_EQ(*bulk, *idx) << text;
   }
+}
+
+TEST(EvalBulkTest, UncoveredValuePredicatesMatchNav) {
+  // `author` has an element child (`name`), so the value index holds no
+  // column for it: bulk answers these from each instance's assembled
+  // string value (the scan fallback), and must agree with nav.
+  Fixture f;
+  auto bulk_matches_nav = [&](const char* text, ExecContext* ctx) {
+    auto path = ParsePath(text);
+    EXPECT_TRUE(path.ok()) << text;
+    if (!path.ok()) return size_t{0};
+    EXPECT_TRUE(InBulkFragment(*path)) << text;
+    auto bulk = EvalBulk(f.stored, *path, ctx);
+    auto nav = EvalNav(f.doc, *path);
+    EXPECT_TRUE(bulk.ok()) << text << ": " << bulk.status();
+    EXPECT_TRUE(nav.ok()) << text << ": " << nav.status();
+    if (!bulk.ok() || !nav.ok()) return size_t{0};
+    EXPECT_EQ(*bulk, *nav) << text;
+    return bulk->size();
+  };
+  ExecContext ctx(/*collect_stats=*/true);
+  EXPECT_EQ(bulk_matches_nav("//book[author = \"C\"]", &ctx), 1u);
+  EXPECT_GT(ctx.stats().value_scan_fallbacks, 0u);
+  EXPECT_EQ(bulk_matches_nav("//book[author != \"x\"]", nullptr), 2u);
+  EXPECT_EQ(bulk_matches_nav("//book[contains(author, \"D\")]", nullptr), 1u);
+  EXPECT_EQ(bulk_matches_nav("//book[contains(author, \"Ada\")]", nullptr),
+            0u);
+  EXPECT_EQ(bulk_matches_nav("//book[starts-with(author, \"\")]", nullptr),
+            2u);
+  // The empty terminal set: no type `nosuch` under book.
+  EXPECT_EQ(bulk_matches_nav("//book[nosuch = \"x\"]", nullptr), 0u);
+  EXPECT_EQ(bulk_matches_nav("//book[contains(nosuch, \"\")]", nullptr), 2u);
 }
 
 TEST(EvalBulkTest, FallbackWrapperAlwaysAnswers) {

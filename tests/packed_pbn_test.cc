@@ -146,41 +146,6 @@ TEST(PackedPbnRefTest, DecodeRoundTripAndHashConsistency) {
   }
 }
 
-TEST(PackedPbnListTest, SortUniqueAndMergeMatchVectorAlgorithms) {
-  Rng rng(1234);
-  for (int iter = 0; iter < 50; ++iter) {
-    std::vector<Pbn> a, b;
-    for (int i = 0; i < 200; ++i) a.push_back(RandomPbn(&rng));
-    for (int i = 0; i < 150; ++i) b.push_back(RandomPbn(&rng));
-    // Force duplicates.
-    for (int i = 0; i < 20; ++i) {
-      a.push_back(a[rng.Uniform(a.size())]);
-      b.push_back(a[rng.Uniform(a.size())]);
-    }
-
-    PackedPbnList pa = PackedPbnList::FromPbns(a);
-    PackedPbnList pb = PackedPbnList::FromPbns(b);
-    pa.SortUnique();
-    pb.SortUnique();
-
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-    std::sort(b.begin(), b.end());
-    b.erase(std::unique(b.begin(), b.end()), b.end());
-
-    EXPECT_EQ(pa.MaterializeAll(), a);
-    EXPECT_EQ(pb.MaterializeAll(), b);
-
-    PackedPbnList merged = PackedPbnList::MergeUnique(pa, pb);
-    std::vector<Pbn> expected;
-    std::merge(a.begin(), a.end(), b.begin(), b.end(),
-               std::back_inserter(expected));
-    expected.erase(std::unique(expected.begin(), expected.end()),
-                   expected.end());
-    EXPECT_EQ(merged.MaterializeAll(), expected);
-  }
-}
-
 TEST(PackedPbnListTest, LowerBoundAndPrefixRangeMatchLinearScan) {
   Rng rng(777);
   std::vector<Pbn> all;
@@ -201,12 +166,12 @@ TEST(PackedPbnListTest, LowerBoundAndPrefixRangeMatchLinearScan) {
     }
     PackedPbnRef ref = Encode(probe, &bytes);
 
-    size_t lb = packed.LowerBound(ref);
+    // The range starts at the lower bound of the probe, members or not.
+    auto [first, last] = packed.PrefixRange(ref);
     size_t expected_lb =
         std::lower_bound(all.begin(), all.end(), probe) - all.begin();
-    EXPECT_EQ(lb, expected_lb);
+    EXPECT_EQ(first, expected_lb);
 
-    auto [first, last] = packed.PrefixRange(ref);
     size_t nfirst = all.size(), nlast = all.size();
     for (size_t i = 0; i < all.size(); ++i) {
       if (probe.IsPrefixOf(all[i])) {
@@ -259,6 +224,34 @@ TEST(PackedJoinTest, RandomListsMatchVectorJoins) {
     EXPECT_EQ(ParentChildJoin(pa, pd, nullptr), pc);
     EXPECT_GT(jc.comparisons, 0u);
     EXPECT_GT(jc.bytes_compared, 0u);
+
+    // Row selections of both sides, joined in place, pair exactly as the
+    // vector joins over the selected numbers (pair indexes are positions
+    // within each selection).
+    std::vector<uint32_t> a_rows, d_rows;
+    std::vector<Pbn> a_sel, d_sel;
+    for (uint32_t i = 0; i < ancestors.size(); ++i) {
+      if (rng.Bernoulli(0.3)) {
+        a_rows.push_back(i);
+        a_sel.push_back(ancestors[i]);
+      }
+    }
+    for (uint32_t i = 0; i < descendants.size(); ++i) {
+      if (rng.Bernoulli(iter % 2 == 0 ? 0.05 : 0.6)) {
+        d_rows.push_back(i);
+        d_sel.push_back(descendants[i]);
+      }
+    }
+    const PackedRows a_side(pa, a_rows.data(), a_rows.size());
+    const PackedRows d_side(pd, d_rows.data(), d_rows.size());
+    EXPECT_EQ(AncestorDescendantJoin(a_side, d_side, &jc),
+              AncestorDescendantJoin(a_sel, d_sel));
+    EXPECT_EQ(ParentChildJoin(a_side, d_side, &jc),
+              ParentChildJoin(a_sel, d_sel));
+    EXPECT_EQ(AncestorDescendantJoin(a_side, pd, nullptr),
+              AncestorDescendantJoin(a_sel, descendants));
+    EXPECT_EQ(ParentChildJoin(pa, d_side, nullptr),
+              ParentChildJoin(ancestors, d_sel));
   }
 }
 

@@ -173,7 +173,7 @@ TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
   ASSERT_TRUE(v.ok()) << v.status();
 
   auto loaded = storage::Snapshot::Load(
-      storage::Snapshot::Write(*stored, /*version=*/2));
+      storage::Snapshot::Write(*stored));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   auto cold = std::make_shared<const storage::StoredDocument>(
       std::move(*loaded));
@@ -196,7 +196,8 @@ TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
   std::vector<Job> jobs;
   for (const char* path :
        {"//e0", "//e1/*", "//e0//e1", "//e2/text()", "//e0[e1]",
-        "//*[text()]", "//e1/..", "//e0/descendant::*"}) {
+        "//*[text()]", "//e1/..", "//e0/descendant::*",
+        "//e2/ancestor::e1", "//e1[not(e2) or e0/e3]/.."}) {
     jobs.push_back({&nav_engine, &nav_engine, path});
     jobs.push_back({&stored_engine, &cold_stored_engine, path});
   }
@@ -243,8 +244,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismTest,
 /// order. GenerateRandomTree attaches children to earlier parents, so its
 /// NodeIds are not in preorder, and an evaluator or merge that ordered
 /// results by NodeId fails here. The battery reaches both stored plans:
-/// bulk chains, `//*` (every element type, merged from per-type runs), and
-/// order and sibling axes and positional predicates (the indexed plan).
+/// bulk chains, reverse axes, attribute and boolean predicates, `//*`
+/// (every element type, merged from per-type runs), and order and sibling
+/// axes and positional predicates (the indexed plan).
 class StoredMatchesNavTest : public ::testing::TestWithParam<uint64_t> {};
 
 void ExpectStoredMatchesNav(
@@ -263,6 +265,16 @@ void ExpectStoredMatchesNav(
       "//*/following-sibling::node()",     "//e2/preceding-sibling::e2[1]",
       "//e2/ancestor::*",                  "//e3/..",
       "//e1[2]",       "//e0/*[1]",        "//*[e2][1]//e3",
+      // Reverse axes, attribute existence and boolean predicates (bulk).
+      "//e1/..",       "/r0/..",           "//e2/text()/..",
+      "//e2/ancestor::e0",                 "//e3/ancestor-or-self::*",
+      "//e1//..",      "//text()/ancestor::*[e1]/e2",
+      "//e0[@a]",      "//*[@a]/e1",       "//e1[@a = \"v1\"]/..",
+      "//e0[e1 and not(@a)]",              "//e1[e2 or @a]",
+      "//*[not(e0) and text()]",
+      "//e0[not(e1 = \"t3\") or @a = \"v2\"]/ancestor::e1",
+      "//e2[text() = \"t7\" and not(e3/e1)]",
+      "//descendant::r0",  // '//' keeps the document node: the root too
   };
   std::set<std::string> plans;
   for (const std::string& path : paths) {
@@ -287,6 +299,12 @@ TEST_P(StoredMatchesNavTest, SameNodeIdsInDocumentOrder) {
   // The premise: NodeId order is not document order here.
   std::vector<xml::NodeId> order = doc.DocumentOrder();
   ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+  // Attributes for the [@a] paths: empty on some elements (present but
+  // false as a predicate), v0..v2 on others, absent on the rest.
+  for (xml::NodeId id = 0; id < doc.num_nodes(); ++id) {
+    if (!doc.IsElement(id) || id % 4 == 3) continue;
+    doc.AddAttribute(id, "a", id % 4 == 0 ? "" : "v" + std::to_string(id % 3));
+  }
 
   auto built = std::make_shared<const storage::StoredDocument>(
       storage::StoredDocument::Build(std::move(doc)));
@@ -295,7 +313,7 @@ TEST_P(StoredMatchesNavTest, SameNodeIdsInDocumentOrder) {
     ExpectStoredMatchesNav(built);
   }
   auto loaded = storage::Snapshot::Load(
-      storage::Snapshot::Write(*built, /*version=*/2));
+      storage::Snapshot::Write(*built));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   SCOPED_TRACE("v2 snapshot");
   ExpectStoredMatchesNav(

@@ -99,9 +99,52 @@ TEST(ServerTest, RepeatQueryHitsTheResultCache) {
   EXPECT_NE(hit.find("\"values\":[\"<title>A</title>\",\"<title>B</title>\"]"), std::string::npos);
   EXPECT_EQ(f.server->result_cache().hits(), 1u);
 
-  // --stats changes only what the response reports: still a hit.
+  // --stats shares the entry, but one filled without stats holds none to
+  // replay: the first --stats line runs again and refreshes the entry, the
+  // next one hits it.
   std::string shaped = f.server->HandleLine("QUERY books --stats //book/title");
-  EXPECT_TRUE(JsonBool(shaped, "cached"));
+  EXPECT_FALSE(JsonBool(shaped, "cached"));
+  std::string shaped_hit =
+      f.server->HandleLine("QUERY books --stats //book/title");
+  EXPECT_TRUE(JsonBool(shaped_hit, "cached"));
+  EXPECT_EQ(f.server->result_cache().hits(), 2u);
+}
+
+/// The `stats` object of a response, from its opening brace to the end of
+/// the line's outer object.
+std::string StatsObject(const std::string& json) {
+  size_t pos = json.find("\"stats\":{");
+  EXPECT_NE(pos, std::string::npos) << json;
+  if (pos == std::string::npos) return "";
+  return json.substr(pos + 8, json.size() - 1 - (pos + 8));
+}
+
+TEST(ServerTest, StatsHitReplaysTheCachedExecutionsStats) {
+  ServerFixture f;
+  std::string miss = f.server->HandleLine("QUERY books --stats //book/title");
+  std::string hit = f.server->HandleLine("QUERY books --stats //book/title");
+  EXPECT_FALSE(JsonBool(miss, "cached"));
+  EXPECT_TRUE(JsonBool(hit, "cached"));
+  EXPECT_FALSE(StatsObject(miss).empty());
+  EXPECT_EQ(StatsObject(hit), StatsObject(miss));
+  // A plain line keeps the stored stats for the next --stats hit.
+  std::string plain = f.server->HandleLine("QUERY books //book/title");
+  EXPECT_TRUE(JsonBool(plain, "cached"));
+  EXPECT_EQ(plain.find("\"stats\":"), std::string::npos) << plain;
+  EXPECT_EQ(StatsObject(f.server->HandleLine(
+                "QUERY books --stats //book/title")),
+            StatsObject(miss));
+}
+
+TEST(ServerTest, StatsAfterAPlainLineReturnsStats) {
+  ServerFixture f;
+  std::string plain = f.server->HandleLine("QUERY auctions //auction/price");
+  EXPECT_EQ(plain.find("\"stats\":"), std::string::npos) << plain;
+  std::string r =
+      f.server->HandleLine("QUERY auctions --stats //auction/price");
+  size_t stats_pos = r.find("\"stats\":{");
+  ASSERT_NE(stats_pos, std::string::npos) << r;
+  EXPECT_NE(r.find("\"result_nodes\":2", stats_pos), std::string::npos) << r;
 }
 
 TEST(ServerTest, StatsOptionAttachesExecStats) {

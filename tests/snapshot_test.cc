@@ -145,7 +145,7 @@ TEST(SnapshotTest, StoredQueriesAndMemoryUsageDoNotHydrateTheNumbering) {
   opts.num_books = 200;
   xml::Document doc = workload::GenerateBooks(opts);
   const StoredDocument built = StoredDocument::Build(doc);
-  auto loaded = Snapshot::Load(Snapshot::Write(built, /*version=*/2));
+  auto loaded = Snapshot::Load(Snapshot::Write(built));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   auto stored = std::make_shared<const StoredDocument>(std::move(*loaded));
 
@@ -173,7 +173,7 @@ TEST(SnapshotTest, ViewQueriesDoNotHydrateTheNumbering) {
   const char* kSpec = "auction { itemref bidder { price } }";
   auto built = std::make_shared<const StoredDocument>(
       StoredDocument::Build(doc));
-  auto loaded = Snapshot::Load(Snapshot::Write(*built, /*version=*/2));
+  auto loaded = Snapshot::Load(Snapshot::Write(*built));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   auto stored = std::make_shared<const StoredDocument>(std::move(*loaded));
   auto view = virt::VirtualDocument::OpenShared(stored, kSpec);
@@ -323,46 +323,56 @@ TEST(SnapshotTest, LoadFileOfMissingPathFails) {
 
 // ---- Version 2 format ----
 
-TEST(SnapshotV2Test, WriteDefaultsToV2AndV1StillWrites) {
+/// The bytes of a checked-in file under tests/data.
+std::string TestData(const std::string& name) {
+  std::ifstream in(std::string(VPBN_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// A fresh build of tests/data/books.xml, the source of books_v1.vpsn.
+StoredDocument BuildBooksXml() {
+  auto doc = xml::Parse(TestData("books.xml"));
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  return StoredDocument::Build(std::move(*doc));
+}
+
+TEST(SnapshotV2Test, WriteEmitsVersion2) {
   xml::Document doc = testutil::PaperFigure2();
   StoredDocument built = StoredDocument::Build(doc);
-  std::string v2 = Snapshot::Write(built);
-  std::string v2_explicit = Snapshot::Write(built, 2);
-  std::string v1 = Snapshot::Write(built, 1);
-  EXPECT_EQ(v2, v2_explicit);
-  EXPECT_NE(v1, v2);
-  EXPECT_TRUE(Snapshot::Write(built, 3).empty());  // unknown version
-  ASSERT_GE(v2.size(), 5u);
-  EXPECT_EQ(v2.substr(0, 4), "VPSN");
-  EXPECT_EQ(static_cast<uint8_t>(v2[4]), 2);
-  ASSERT_GE(v1.size(), 5u);
-  EXPECT_EQ(static_cast<uint8_t>(v1[4]), 1);
+  for (bool stats_section : {true, false}) {
+    std::string v2 = Snapshot::Write(built, stats_section);
+    ASSERT_GE(v2.size(), 5u);
+    EXPECT_EQ(v2.substr(0, 4), "VPSN");
+    EXPECT_EQ(static_cast<uint8_t>(v2[4]), 2);
+  }
 }
 
 TEST(SnapshotV2Test, V1SnapshotsStillLoad) {
-  xml::Document doc = AuctionsDoc();
-  StoredDocument built = StoredDocument::Build(doc);
-  auto from_v1 = Snapshot::Load(Snapshot::Write(built, 1));
-  auto from_v2 = Snapshot::Load(Snapshot::Write(built, 2));
+  // The checked-in v1 file restores the document a fresh build of its
+  // source gives, node for node.
+  auto from_v1 = Snapshot::Load(TestData("books_v1.vpsn"));
   ASSERT_TRUE(from_v1.ok()) << from_v1.status();
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
+  StoredDocument built = BuildBooksXml();
   EXPECT_EQ(from_v1->stored_string(), built.stored_string());
-  EXPECT_EQ(from_v1->stored_string(), from_v2->stored_string());
+  ASSERT_EQ(from_v1->doc().num_nodes(), built.doc().num_nodes());
   ASSERT_EQ(from_v1->numbering().size(), built.numbering().size());
-  for (xml::NodeId id = 0; id < doc.num_nodes(); ++id) {
+  for (xml::NodeId id = 0; id < built.doc().num_nodes(); ++id) {
     ASSERT_EQ(from_v1->numbering().OfNode(id), built.numbering().OfNode(id));
-    ASSERT_EQ(from_v2->numbering().OfNode(id), built.numbering().OfNode(id));
-    ASSERT_EQ(from_v1->TypeOfNode(id), from_v2->TypeOfNode(id));
+    ASSERT_EQ(from_v1->TypeOfNode(id), built.TypeOfNode(id));
+    ASSERT_EQ(from_v1->RowOfNode(id), built.RowOfNode(id));
+    ASSERT_EQ(from_v1->Value(id), built.Value(id));
   }
-  // Both restored documents re-snapshot to identical v2 bytes.
-  EXPECT_EQ(Snapshot::Write(*from_v1), Snapshot::Write(*from_v2));
+  // The restored document re-snapshots to the fresh build's v2 bytes.
+  EXPECT_EQ(Snapshot::Write(*from_v1), Snapshot::Write(built));
 }
 
 TEST(SnapshotV2Test, CheckedInV1FixtureLoads) {
   // A v1 file written by the previous format generation, checked in so a
   // format change that breaks old files fails here rather than in the
-  // field. Regenerate only deliberately (Write(sd, 1) over
-  // tests/data/books.xml).
+  // field. Nothing writes v1 any more, so it cannot be regenerated.
   std::string path = std::string(VPBN_TEST_DATA_DIR) + "/books_v1.vpsn";
   auto loaded = Snapshot::LoadFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -400,11 +410,23 @@ TEST(SnapshotV2Test, CheckedInV2PartsFixtureLoads) {
 }
 
 TEST(SnapshotV2Test, V2IsSmallerThanV1) {
-  xml::Document doc = AuctionsDoc();
-  StoredDocument built = StoredDocument::Build(doc);
-  std::string v1 = Snapshot::Write(built, 1);
-  std::string v2 = Snapshot::Write(built, 2);
-  EXPECT_LT(v2.size(), v1.size());
+  // v2 of the fixture's source encodes in fewer bytes than the v1 file.
+  // Sections start on page boundaries (for mapped loads), so a document
+  // this small is mostly padding; count the header, the directory and the
+  // section payloads.
+  std::string v2 = Snapshot::Write(BuildBooksXml());
+  ASSERT_GE(v2.size(), 14u);
+  size_t pos = 4 + 1 + 8;  // magic, version varint, checksum
+  const size_t sections = static_cast<uint8_t>(v2[pos++]);
+  size_t encoded = pos + sections * 17;
+  for (size_t i = 0; i < sections; ++i, pos += 17) {
+    for (size_t b = 0; b < 8; ++b) {  // u64 LE section size
+      encoded += static_cast<size_t>(static_cast<uint8_t>(v2[pos + 9 + b]))
+                 << (8 * b);
+    }
+  }
+  EXPECT_LT(encoded, TestData("books_v1.vpsn").size());
+  EXPECT_EQ(TestData("books_v1.vpsn").size(), 733u);
 }
 
 TEST(SnapshotV2Test, MmapLoadReportsMappedBytesAndMatchesCopyLoad) {
@@ -494,8 +516,8 @@ TEST(SnapshotV2Test, StatsSectionRoundTripsBitIdentical) {
   // identical numbers whichever path hydrated the document.
   xml::Document doc = AuctionsDoc();
   StoredDocument built = StoredDocument::Build(doc);
-  std::string with_stats = Snapshot::Write(built, 2, /*stats_section=*/true);
-  std::string without = Snapshot::Write(built, 2, /*stats_section=*/false);
+  std::string with_stats = Snapshot::Write(built, /*stats_section=*/true);
+  std::string without = Snapshot::Write(built, /*stats_section=*/false);
   ASSERT_GT(with_stats.size(), without.size());
 
   auto from_stats = Snapshot::Load(with_stats);
@@ -539,7 +561,7 @@ TEST(SnapshotV2Test, PreStatsThreeSectionLayoutStillLoads) {
   // must reproduce the current (four-section) bytes of a fresh build.
   xml::Document doc = testutil::PaperFigure2();
   StoredDocument built = StoredDocument::Build(doc);
-  std::string old_layout = Snapshot::Write(built, 2, /*stats_section=*/false);
+  std::string old_layout = Snapshot::Write(built, /*stats_section=*/false);
   auto loaded = Snapshot::Load(old_layout);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(Snapshot::Write(*loaded), Snapshot::Write(built));
@@ -559,10 +581,11 @@ TEST(SnapshotV2Test, MismatchedStatsShapeRejected) {
 }
 
 TEST(SnapshotV2Test, V1FormatTruncationAndMutationStillSafe) {
-  // The legacy reader keeps its own fuzz hardening now that Write defaults
-  // to v2 and the shared tests above stopped covering it.
-  xml::Document doc = testutil::PaperFigure2();
-  std::string snap = Snapshot::Write(StoredDocument::Build(doc), 1);
+  // The legacy reader keeps its own fuzz hardening, over the checked-in
+  // v1 file, now that nothing writes v1 and the shared tests above do not
+  // cover it.
+  std::string snap = TestData("books_v1.vpsn");
+  ASSERT_EQ(snap.size(), 733u);
   for (size_t cut = 0; cut < snap.size(); ++cut) {
     auto r = Snapshot::Load(std::string_view(snap).substr(0, cut));
     ASSERT_FALSE(r.ok()) << "cut at " << cut;

@@ -55,9 +55,8 @@ TEST(StoredDocumentTest, ValueOfUnknownNumberIsNotFound) {
   EXPECT_EQ(testutil::NodeAt(doc, Pbn{9, 9}), xml::kNullNode);
   num::PackedPbnList probe = num::PackedPbnList::FromPbns({Pbn{9, 9}});
   for (dg::TypeId t = 0; t < s.dataguide().num_types(); ++t) {
-    const num::PackedPbnList& all = s.PackedNodesOfType(t);
-    const size_t row = all.LowerBound(probe[0]);
-    EXPECT_TRUE(row == all.size() || !(all[row] == probe[0])) << t;
+    auto [first, last] = s.TypeRangeWithin(t, probe[0]);
+    EXPECT_EQ(first, last) << t;
   }
 }
 
